@@ -1,15 +1,19 @@
 """Batch evaluation of objectives with bounded concurrency and memoization.
 
 The harness presents a blocking interface: a batch goes in, all its values
-come back.  Points inside a batch may run concurrently up to ``max_parallel``
-worker threads (clamped to the machine's logical core count, which is what
-bounds throughput for real simulation workloads).  Failed evaluations become
-a large penalty value and are flagged, never raised.
+come back.  Points inside a batch run on at most ``workers`` threads, where
+``workers`` is ``max_parallel`` clamped to the machine's logical core count
+(which is what bounds throughput for real simulation workloads).  Each worker
+takes the next unevaluated point when it finishes its previous one, so points
+of uneven latency stay balanced, and writes the outcome into that point's
+slot.  Failed evaluations become a large penalty value and are flagged, never
+raised.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -99,23 +103,22 @@ def evaluate_batch(
             return penalty, True
         return float(value), False
 
-    failures: list[int] = []
+    failed_positions: set[int] = set()
     if todo:
         if workers == 1 or len(todo) == 1:
             outcomes = [run_one(idx) for idx in todo]
         else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(run_one, todo))
+            outcomes = _pull(run_one, todo, min(workers, len(todo)))
         for idx, (value, did_fail) in zip(todo, outcomes):
             cache[idx] = value
             if did_fail:
                 if failed is not None:
                     failed.add(idx)
-                failures.extend(positions[idx])
+                failed_positions.update(positions[idx])
     if failed:
-        for idx in positions:
+        for idx, spots in positions.items():
             if idx in failed:
-                failures.extend(p for p in positions[idx] if p not in failures)
+                failed_positions.update(spots)
 
     values = [0.0] * len(request.indices)
     for idx, spots in positions.items():
@@ -125,8 +128,34 @@ def evaluate_batch(
         values=values,
         wall_time_s=time.perf_counter() - start,
         served_from_cache=served_from_cache,
-        failures=sorted(set(failures)),
+        failures=sorted(failed_positions),
     )
+
+
+def _pull(run_one, todo: list, workers: int) -> list:
+    """``[run_one(item) for item in todo]`` on ``workers`` threads.
+
+    Each thread repeatedly claims the next unclaimed position and stores its
+    outcome in that position's slot, so the result is in ``todo`` order
+    whatever order the threads finish in.
+    """
+    outcomes: list = [None] * len(todo)
+    unclaimed = iter(range(len(todo)))
+    claim = threading.Lock()
+
+    def drain() -> None:
+        while True:
+            with claim:
+                pos = next(unclaimed, None)
+            if pos is None:
+                return
+            outcomes[pos] = run_one(todo[pos])
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        tasks = [pool.submit(drain) for _ in range(workers)]
+    for task in tasks:
+        task.result()
+    return outcomes
 
 
 def parallel_scaling_report(

@@ -28,7 +28,9 @@ class SearchGrid:
 
     Index ``k`` in a dimension maps to ``lower + k * (upper - lower) /
     (points - 1)``; the extreme indices land exactly on the box corners.  A
-    single-point dimension maps index 0 to ``lower``.
+    single-point dimension maps index 0 to ``lower``.  :meth:`points` maps a
+    whole batch of multi-indices at once, from coordinates computed by
+    :meth:`coordinate` when the grid is built.
     """
 
     dims: tuple[tuple[float, float, int], ...]
@@ -43,6 +45,13 @@ class SearchGrid:
                 raise ValueError(f"dimension {pos}: need lower < upper")
             parsed.append((lower, upper, points))
         object.__setattr__(self, "dims", tuple(parsed))
+        # Every axis's coordinates back to back; axis a starts at _offsets[a].
+        shape = np.array(self.shape, dtype=np.intp)
+        object.__setattr__(self, "_offsets", np.cumsum(shape) - shape)
+        object.__setattr__(self, "_coordinates", np.array(
+            [self.coordinate(axis, k) for axis, n in enumerate(self.shape) for k in range(n)],
+            dtype=np.float64,
+        ))
 
     @property
     def dimension(self) -> int:
@@ -66,16 +75,34 @@ class SearchGrid:
             return upper
         return lower + k * (upper - lower) / (points - 1)
 
+    def points(self, indices) -> np.ndarray:
+        """Real-space points, shape ``(len(indices), dimension)``, one per multi-index."""
+        try:
+            idx = np.asarray(indices, dtype=np.intp)
+        except OverflowError:
+            raise ValueError("index out of range for the grid") from None
+        if idx.shape == (0,):
+            idx = idx.reshape(0, self.dimension)
+        if idx.ndim != 2:
+            raise ValueError(f"expected a sequence of multi-indices, got shape {idx.shape}")
+        if idx.shape[1] != self.dimension:
+            raise ValueError(f"index length {idx.shape[1]} != grid dimension {self.dimension}")
+        bad = np.argwhere((idx < 0) | (idx >= np.array(self.shape, dtype=np.intp)))
+        if len(bad):
+            row, axis = bad[0]
+            raise ValueError(
+                f"index {idx[row, axis]} out of range for axis {axis}"
+                f" with {self.dims[axis][2]} points"
+            )
+        return self._coordinates[idx + self._offsets]
+
     def all_indices(self) -> list[MultiIndex]:
         return list(itertools.product(*[range(points) for points in self.shape]))
 
 
 def grid_point(grid: SearchGrid, idx) -> np.ndarray:
     """Real-space point for a grid multi-index."""
-    idx = tuple(int(i) for i in idx)
-    if len(idx) != grid.dimension:
-        raise ValueError(f"index length {len(idx)} != grid dimension {grid.dimension}")
-    return np.array([grid.coordinate(axis, k) for axis, k in enumerate(idx)])
+    return grid.points([tuple(idx)])[0]
 
 
 @dataclass(frozen=True)
@@ -171,7 +198,7 @@ def tetraopt_minimize(
         request = BatchRequest(
             batch_id=batch_counter[0],
             indices=list(indices),
-            points=[grid_point(grid, idx) for idx in indices],
+            points=list(grid.points(indices)),
         )
         batch_counter[0] += 1
         result = evaluate_batch(

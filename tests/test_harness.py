@@ -1,10 +1,13 @@
 import math
 import os
+import sys
 import threading
 import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tetraopt import (
     PENALTY_VALUE,
@@ -14,9 +17,10 @@ from tetraopt import (
     benchmark,
     evaluate_batch,
     parallel_scaling_report,
+    seeded_failure_model,
     with_latency,
 )
-from tetraopt.harness import effective_parallelism
+from tetraopt.harness import _pull, effective_parallelism
 
 CORES = os.cpu_count() or 1
 
@@ -147,6 +151,49 @@ class TestEvaluateBatch:
         ]
         assert results[0] == results[1] == results[2]
 
+    def test_worker_threads_bounded(self):
+        seen = set()
+        lock = threading.Lock()
+
+        def evaluator(x):
+            with lock:
+                seen.add(threading.get_ident())
+            time.sleep(0.002)
+            return float(x[0])
+
+        obj = BlackBoxObjective(
+            name="thread-recording", dimension=1, bounds=((0.0, 30.0),), evaluator=evaluator
+        )
+        indices = [(k,) for k in range(24)]
+        points = [np.array([float(k)]) for k in range(24)]
+        for max_parallel in sorted({1, 2, 3, CORES, 4 * CORES}):
+            seen.clear()
+            evaluate_batch(obj, request_for(indices, points), max_parallel, cache={})
+            assert 1 <= len(seen) <= effective_parallelism(max_parallel)
+            if max_parallel == 1:
+                assert seen == {threading.get_ident()}
+        seen.clear()
+        evaluate_batch(obj, request_for(indices[:1], points[:1]), 4 * CORES, cache={})
+        assert seen == {threading.get_ident()}
+
+    def test_pull_claims_every_position_once_under_contention(self):
+        claims = [0] * 3000
+        lock = threading.Lock()
+
+        def run_one(pos):
+            with lock:
+                claims[pos] += 1
+            return -pos
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            outcomes = _pull(run_one, list(range(len(claims))), 8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert claims == [1] * len(claims)
+        assert outcomes == [-pos for pos in range(len(claims))]
+
     def test_alignment_validation(self):
         with pytest.raises(ValueError, match="aligned"):
             BatchRequest(batch_id=0, indices=[(0,)], points=[])
@@ -154,6 +201,40 @@ class TestEvaluateBatch:
     def test_result_dataclass_shape(self):
         result = BatchResult(values=[1.0], wall_time_s=0.0, served_from_cache=0)
         assert result.failures == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    picks=st.lists(st.integers(0, 11), min_size=1, max_size=30),
+    cached=st.sets(st.integers(0, 11), max_size=6),
+    pre_failed=st.sets(st.integers(0, 11), max_size=3),
+    nan_at=st.sets(st.integers(0, 11), max_size=4),
+    failure_seed=st.integers(0, 2**16),
+)
+def test_results_independent_of_parallelism(picks, cached, pre_failed, nan_at, failure_seed):
+    def evaluator(x):
+        k = int(x[0])
+        time.sleep(1e-4 * (k % 3))
+        return float("nan") if k in nan_at else float(k) ** 2 - 3.0
+
+    obj = BlackBoxObjective(
+        name="mixed",
+        dimension=1,
+        bounds=((0.0, 11.0),),
+        evaluator=evaluator,
+        failure_model=seeded_failure_model(0.3, failure_seed),
+    )
+    indices = [(k,) for k in picks]
+    points = [np.array([float(k)]) for k in picks]
+    runs = []
+    for max_parallel in (1, 2):
+        cache = {(k,): -float(k) for k in cached}
+        failed = {(k,) for k in pre_failed}
+        result = evaluate_batch(
+            obj, request_for(indices, points), max_parallel, cache=cache, failed=failed
+        )
+        runs.append((result.values, result.failures, result.served_from_cache, cache, failed))
+    assert runs[0] == runs[1]
 
 
 class TestScalingReport:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,8 +8,10 @@ from hypothesis import strategies as st
 from tetraopt import (
     MIXER_BOUNDS,
     BlackBoxObjective,
+    benchmark,
     mixer_objective,
     mixer_surrogate,
+    seeded_failure_model,
     shifted_quadratic,
 )
 from tetraopt.optimizer import (
@@ -61,6 +65,8 @@ class TestSearchGrid:
             grid_point(grid, (3,))
         with pytest.raises(ValueError):
             grid_point(grid, (0, 0))
+        with pytest.raises(ValueError):
+            grid_point(grid, (2**70,))
 
 
 @settings(max_examples=30, deadline=None)
@@ -73,6 +79,43 @@ def test_grid_corners_property(lower, width, points):
     grid = SearchGrid([(lower, lower + width, points)])
     assert grid.coordinate(0, 0) == lower
     assert grid.coordinate(0, points - 1) == lower + width
+
+
+axis_specs = st.tuples(
+    st.floats(-10, 10), st.floats(0.1, 20), st.integers(1, 6)
+).map(lambda spec: (spec[0], spec[0] + spec[1], spec[2]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(dims=st.lists(axis_specs, min_size=1, max_size=4), data=st.data())
+def test_grid_points_match_coordinates(dims, data):
+    grid = SearchGrid(dims)
+    indices = grid.all_indices()
+    points = grid.points(indices)
+    assert points.shape == (len(indices), grid.dimension)
+    for idx, point in zip(indices, points):
+        reference = np.array([grid.coordinate(axis, k) for axis, k in enumerate(idx)])
+        assert point.tobytes() == reference.tobytes()
+        assert grid_point(grid, idx).tobytes() == reference.tobytes()
+    assert points[0].tolist() == [lower for lower, _ in grid.bounds]
+    corner = [upper if n > 1 else lower for (lower, upper), n in zip(grid.bounds, grid.shape)]
+    assert points[-1].tolist() == corner
+
+    idx = list(data.draw(st.sampled_from(indices)))
+    axis = data.draw(st.integers(0, grid.dimension - 1))
+    size = grid.shape[axis]
+    for bad_k in (-1, -size, size, size + data.draw(st.integers(0, 100))):
+        bad = idx.copy()
+        bad[axis] = bad_k
+        with pytest.raises(ValueError, match="out of range"):
+            grid.points([tuple(idx), tuple(bad)])
+        with pytest.raises(ValueError, match="out of range"):
+            grid_point(grid, bad)
+    for bad in (idx[:-1], idx + [0]):
+        with pytest.raises(ValueError, match="index length"):
+            grid.points([bad])
+        with pytest.raises(ValueError, match="index length"):
+            grid_point(grid, bad)
 
 
 class TestTetraOpt:
@@ -240,6 +283,23 @@ class TestTetraOpt:
         )
         assert trace.best_value == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(trace.best_point, [0.5, 0.7, 0.25])
+
+
+@settings(max_examples=6, deadline=None)
+@given(failure_seed=st.integers(0, 2**16), seed=st.integers(0, 2**16))
+def test_results_independent_of_parallelism(failure_seed, seed):
+    objective = dataclasses.replace(
+        benchmark("rastrigin", 4), failure_model=seeded_failure_model(0.1, failure_seed)
+    )
+    grid = SearchGrid([(lo, hi, 6) for lo, hi in objective.bounds])
+    config = TetraOptConfig(grid=grid, rank=3, iterations=2, seed=seed)
+
+    def run(max_parallel):
+        trace = tetraopt_minimize(objective, config, max_parallel=max_parallel)
+        events = [(e.unique_calls_so_far, e.best_value, e.best_point) for e in trace.events]
+        return events, trace.total_calls, trace.best_value, trace.best_point
+
+    assert run(1) == run(2)
 
 
 class TestTraceCsv:
