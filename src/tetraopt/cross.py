@@ -4,7 +4,10 @@ The algorithm keeps nested row/column index sets per bond.  A left-to-right
 half sweep refreshes the row sets, a right-to-left half sweep refreshes the
 column sets and assembles the cores; one sweep is the pair.  Every entry the
 algorithm asks for goes through a memo cache and is recorded in a
-:class:`SampleLog`, which is what the optimizer mines for incumbents.
+:class:`SampleLog`.  :func:`cross_requests` is the algorithm as a generator
+that yields each batch of cache misses and receives their values, so a
+caller can merge the requests of several runs into one batch;
+:func:`tt_cross` drives it with a blocking evaluator.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from math import prod
-from typing import Callable, Sequence
+from typing import Callable, Generator, Sequence
 
 import numpy as np
 
@@ -113,6 +116,85 @@ def _select_pivots(matrix: np.ndarray) -> tuple[list[int], np.ndarray]:
     return result.row_indices, result.coefficients
 
 
+def cross_requests(
+    shape: Sequence[int],
+    rank: int,
+    sweeps: int,
+    seed: int,
+    *,
+    cache: dict,
+    log: SampleLog | None,
+) -> Generator[list[MultiIndex], Sequence[float], TensorTrain]:
+    """Cross interpolation as a generator of evaluation requests.
+
+    Each core request yields its distinct cache misses, in request order,
+    and expects their values to be sent back; requests fully served by
+    ``cache`` yield nothing.  Received values are stored in ``cache`` and
+    every requested entry goes to ``log`` (skipped when ``log`` is None).
+    The generator returns the interpolant.  Several generators can share one
+    cache and run in lockstep, provided every value of a round is cached
+    before any of them is resumed; otherwise one re-requests points another
+    has just received.  Arguments are as for :func:`tt_cross`, and are
+    validated on the first ``next``.
+    """
+    shape = [int(n) for n in shape]
+    d = len(shape)
+    if d < 1 or min(shape) < 1:
+        raise ValueError(f"invalid tensor shape {shape}")
+    if rank < 1:
+        raise ValueError("rank must be >= 1")
+    if sweeps < 1:
+        raise ValueError("sweeps must be >= 1")
+
+    rng = np.random.default_rng(seed)
+    sets = initial_index_sets(rng, shape, rank)
+
+    def core_matrix(j: int, rows: list[MultiIndex], cols: list[MultiIndex]):
+        indices = [p + (i,) + s for p in rows for i in range(shape[j]) for s in cols]
+        batch = log.new_batch() if log is not None else None
+        missing = [idx for idx in dict.fromkeys(indices) if idx not in cache]
+        if missing:
+            values = list((yield missing))
+            if len(values) != len(missing):
+                raise ValueError(
+                    f"evaluator returned {len(values)} values for {len(missing)} indices"
+                )
+            for idx, val in zip(missing, values):
+                cache[idx] = float(val)
+        out = np.array([cache[idx] for idx in indices], dtype=np.float64)
+        if log is not None:
+            log.extend(indices, out, batch)
+        return out.reshape(len(rows) * shape[j], len(cols))
+
+    cores: list[np.ndarray | None] = [None] * d
+    for _ in range(sweeps):
+        # Left-to-right: refresh row prefixes (nothing to pick after the last core).
+        for j in range(d - 1):
+            values = yield from core_matrix(j, sets.left_sets[j], sets.right_sets[j])
+            pivots, _ = _select_pivots(values)
+            extended = [
+                p + (i,) for p in sets.left_sets[j] for i in range(shape[j])
+            ]
+            sets.left_sets[j + 1] = [extended[a] for a in pivots]
+
+        # Right-to-left: refresh column suffixes and assemble the cores.
+        for j in range(d - 1, 0, -1):
+            n_cols = len(sets.right_sets[j])
+            values = yield from core_matrix(j, sets.left_sets[j], sets.right_sets[j])
+            # Same entries viewed as (prefixes) x (mode, suffix) pairs.
+            mat = values.reshape(len(sets.left_sets[j]), shape[j] * n_cols)
+            pivots, coeffs = _select_pivots(mat.T)
+            extended = [
+                (i,) + s for i in range(shape[j]) for s in sets.right_sets[j]
+            ]
+            sets.right_sets[j - 1] = [extended[b] for b in pivots]
+            cores[j] = coeffs.T.reshape(len(pivots), shape[j], n_cols)
+        values = yield from core_matrix(0, sets.left_sets[0], sets.right_sets[0])
+        cores[0] = values.reshape(1, shape[0], len(sets.right_sets[0]))
+
+    return TensorTrain(cores)
+
+
 def tt_cross(
     evaluate: Callable[[list[MultiIndex]], Sequence[float]],
     shape: Sequence[int],
@@ -148,66 +230,16 @@ def tt_cross(
     (TensorTrain, SampleLog)
         The interpolant and the log of every requested index.
     """
-    shape = [int(n) for n in shape]
-    d = len(shape)
-    if d < 1 or min(shape) < 1:
-        raise ValueError(f"invalid tensor shape {shape}")
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
-    if sweeps < 1:
-        raise ValueError("sweeps must be >= 1")
-
     cache = {} if cache is None else cache
     log = SampleLog() if log is None else log
-    rng = np.random.default_rng(seed)
-    sets = initial_index_sets(rng, shape, rank)
-
-    def fetch(indices: list[MultiIndex]) -> np.ndarray:
-        batch = log.new_batch()
-        missing = [idx for idx in dict.fromkeys(indices) if idx not in cache]
-        if missing:
-            values = list(evaluate(missing))
-            if len(values) != len(missing):
-                raise ValueError(
-                    f"evaluator returned {len(values)} values for {len(missing)} indices"
-                )
-            for idx, val in zip(missing, values):
-                cache[idx] = float(val)
-        out = np.array([cache[idx] for idx in indices], dtype=np.float64)
-        log.extend(indices, out, batch)
-        return out
-
-    def core_matrix(j: int, rows: list[MultiIndex], cols: list[MultiIndex]) -> np.ndarray:
-        indices = [p + (i,) + s for p in rows for i in range(shape[j]) for s in cols]
-        return fetch(indices).reshape(len(rows) * shape[j], len(cols))
-
-    cores: list[np.ndarray | None] = [None] * d
-    for _ in range(sweeps):
-        # Left-to-right: refresh row prefixes (nothing to pick after the last core).
-        for j in range(d - 1):
-            values = core_matrix(j, sets.left_sets[j], sets.right_sets[j])
-            pivots, _ = _select_pivots(values)
-            extended = [
-                p + (i,) for p in sets.left_sets[j] for i in range(shape[j])
-            ]
-            sets.left_sets[j + 1] = [extended[a] for a in pivots]
-
-        # Right-to-left: refresh column suffixes and assemble the cores.
-        for j in range(d - 1, 0, -1):
-            n_cols = len(sets.right_sets[j])
-            values = core_matrix(j, sets.left_sets[j], sets.right_sets[j])
-            # Same entries viewed as (prefixes) x (mode, suffix) pairs.
-            mat = values.reshape(len(sets.left_sets[j]), shape[j] * n_cols)
-            pivots, coeffs = _select_pivots(mat.T)
-            extended = [
-                (i,) + s for i in range(shape[j]) for s in sets.right_sets[j]
-            ]
-            sets.right_sets[j - 1] = [extended[b] for b in pivots]
-            cores[j] = coeffs.T.reshape(len(pivots), shape[j], n_cols)
-        values = core_matrix(0, sets.left_sets[0], sets.right_sets[0])
-        cores[0] = values.reshape(1, shape[0], len(sets.right_sets[0]))
-
-    return TensorTrain(cores), log
+    requests = cross_requests(shape, rank, sweeps, seed, cache=cache, log=log)
+    values = None
+    while True:
+        try:
+            missing = requests.send(values)
+        except StopIteration as done:
+            return done.value, log
+        values = evaluate(missing)
 
 
 def tensor_oracle(tt: TensorTrain) -> Callable[[list[MultiIndex]], np.ndarray]:

@@ -18,11 +18,18 @@ import numpy as np
 
 
 class EvaluationFailure(RuntimeError):
-    """Raised when an objective's failure model triggers at a point."""
+    """Raised when an objective's failure model triggers at a point.
+
+    The message is formatted only when asked for: callers such as the batch
+    harness catch failures by the thousand and never read it.
+    """
 
     def __init__(self, point):
-        super().__init__(f"objective evaluation failed at {np.asarray(point)}")
         self.point = np.asarray(point, dtype=np.float64)
+        super().__init__(self.point)
+
+    def __str__(self) -> str:
+        return f"objective evaluation failed at {self.point}"
 
 
 @dataclass(frozen=True)

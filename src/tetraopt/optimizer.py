@@ -1,9 +1,11 @@
 """Grid discretization and the tensor-train optimization loop.
 
-The optimizer lays a uniform grid over the search box, runs cross
-interpolation against the objective once per iteration (fresh random index
-sets each time, one shared evaluation cache), and keeps the best value seen
-across every point the interpolation touched.
+The optimizer lays a uniform grid over the search box and runs
+``iterations`` cross-interpolation passes against the objective (fresh
+random index sets each time, one shared evaluation cache).  The passes run
+in lockstep: each round merges the cache misses of every live pass into one
+batch, evaluates it, caches the values, and only then resumes the passes.
+The incumbent is the best value over every point the passes touched.
 """
 
 from __future__ import annotations
@@ -15,7 +17,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .cross import SampleLog, tt_cross
+from .cross import cross_requests
+from .cross import tt_cross  # noqa: F401  -- bench/layers.py patches this name
 from .harness import PENALTY_VALUE, BatchRequest, evaluate_batch
 from .objectives import BlackBoxObjective
 from .trace import OptimizationTrace, TraceEvent
@@ -131,20 +134,22 @@ class _IncumbentTracker:
     """Streaming minimum over sampled grid points, with deterministic ties.
 
     Penalized (failed) indices never become incumbents; among equal values
-    the lexicographically smallest multi-index wins.
+    the lexicographically smallest multi-index wins, so the final incumbent
+    does not depend on the order in which points arrive.  Every batch that
+    changes the incumbent, by value or by a tie on a smaller index, records
+    one trace event.
     """
 
     grid: SearchGrid
     trace: OptimizationTrace
     started_at: float
     failed: set = field(default_factory=set)
-    unique_calls: int = 0
     best_value: float = float("inf")
     best_index: MultiIndex | None = None
 
-    def absorb(self, indices, values) -> None:
-        self.unique_calls += len(indices)
-        improved = False
+    def absorb(self, indices, values, calls: int) -> None:
+        """Take in one evaluated batch; ``calls`` is the run's unique-call count after it."""
+        changed = False
         for idx, value in zip(indices, values):
             if idx in self.failed or not np.isfinite(value):
                 continue
@@ -152,13 +157,12 @@ class _IncumbentTracker:
                 value == self.best_value
                 and (self.best_index is None or idx < self.best_index)
             ):
-                if value < self.best_value:
-                    improved = True
                 self.best_value = value
                 self.best_index = idx
-        if improved:
+                changed = True
+        if changed:
             self.trace.record(
-                self.unique_calls,
+                calls,
                 time.perf_counter() - self.started_at,
                 self.best_value,
                 grid_point(self.grid, self.best_index),
@@ -175,10 +179,13 @@ def tetraopt_minimize(
     """Optimize a black-box objective over a uniform grid.
 
     Runs ``config.iterations`` cross-interpolation passes with rank
-    ``config.rank``.  All sampled grid points feed the incumbent; the trace
-    records one event per improvement, timestamped at batch completion.
-    With ``minimize=False`` the negated objective is minimized and the trace
-    reports the original sign.
+    ``config.rank`` in lockstep, one :func:`evaluate_batch` call per round
+    for the merged cache misses of all passes.  The points sampled, and so
+    the result, are those of running the passes one after another.  All
+    sampled grid points feed the incumbent; the trace records one event per
+    round that changes it, timestamped at the round's completion, with the
+    unique-call count after that round.  With ``minimize=False`` the negated
+    objective is minimized and the trace reports the original sign.
     """
     grid = config.grid
     if objective.dimension != grid.dimension:
@@ -191,39 +198,33 @@ def tetraopt_minimize(
     trace = OptimizationTrace()
     tracker = _IncumbentTracker(grid=grid, trace=trace, started_at=started_at)
     cache: dict[MultiIndex, float] = {}
-    log = SampleLog()
-    batch_counter = [0]
-
-    def evaluate(indices: list[MultiIndex]) -> list[float]:
-        request = BatchRequest(
-            batch_id=batch_counter[0],
-            indices=list(indices),
-            points=list(grid.points(indices)),
-        )
-        batch_counter[0] += 1
-        result = evaluate_batch(
-            objective,
-            request,
-            max_parallel,
-            cache={},
-            failed=tracker.failed,
-            penalty=penalty,
-        )
-        return [sign * v for v in result.values]
 
     pass_seeds = np.random.default_rng(config.seed).integers(0, 2**63, size=config.iterations)
-    for pass_seed in pass_seeds:
-        tt_cross(
-            _observed(evaluate, tracker.absorb),
-            grid.shape,
-            config.rank,
-            sweeps=1,
-            seed=int(pass_seed),
-            cache=cache,
-            log=log,
+    passes = [
+        cross_requests(grid.shape, config.rank, 1, int(s), cache=cache, log=None)
+        for s in pass_seeds
+    ]
+    pending = [(p, misses) for p in passes if (misses := next(p, None)) is not None]
+    rounds = 0
+    while pending:
+        indices = list(dict.fromkeys(idx for _, misses in pending for idx in misses))
+        request = BatchRequest(batch_id=rounds, indices=indices, points=list(grid.points(indices)))
+        rounds += 1
+        result = evaluate_batch(
+            objective, request, max_parallel, cache={}, failed=tracker.failed, penalty=penalty
         )
+        values = [sign * v for v in result.values]
+        # Cache the whole round before resuming any pass; a pass resumed
+        # earlier would otherwise re-request points a later pass received.
+        cache.update(zip(indices, values))
+        tracker.absorb(indices, values, len(cache))
+        pending = [
+            (p, misses)
+            for p, asked in pending
+            if (misses := _resume(p, [cache[idx] for idx in asked])) is not None
+        ]
 
-    trace.total_calls = log.unique_count
+    trace.total_calls = len(cache)
     trace.total_runtime_s = time.perf_counter() - started_at
     if not config.minimize and trace.events:
         trace.events = [
@@ -238,17 +239,9 @@ def tetraopt_minimize(
     return trace
 
 
-def _observed(evaluate, on_batch):
-    """Wrap an evaluator so every cross batch updates the incumbent.
-
-    The wrapper sees only cache misses; cached points already fed the
-    incumbent when first evaluated, and the sample log keeps the complete
-    record.
-    """
-
-    def wrapped(indices):
-        values = evaluate(indices)
-        on_batch(indices, values)
-        return values
-
-    return wrapped
+def _resume(requests, values):
+    """Send a pass its values; its next cache misses, or None once it is done."""
+    try:
+        return requests.send(values)
+    except StopIteration:
+        return None

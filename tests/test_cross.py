@@ -7,6 +7,7 @@ from tetraopt import (
     EvaluationError,
     SampleLog,
     TensorTrain,
+    cross_requests,
     pointwise_oracle,
     tensor_oracle,
     tt_cross,
@@ -182,6 +183,40 @@ class TestErrors:
             tt_cross(oracle, [3, 3], rank=1, sweeps=0, seed=0)
         with pytest.raises(ValueError):
             tt_cross(oracle, [], rank=1, sweeps=1, seed=0)
+
+
+class TestRequests:
+    def test_yields_distinct_uncached_indices(self):
+        source = TensorTrain.random([4, 5, 3, 4], 2, np.random.default_rng(4))
+        oracle = tensor_oracle(source)
+        cache: dict = {}
+        requests = cross_requests([4, 5, 3, 4], 3, 2, 7, cache=cache, log=None)
+        asked = []
+        try:
+            missing = next(requests)
+            while True:
+                assert missing, "an empty request was yielded"
+                assert len(set(missing)) == len(missing)
+                assert not any(idx in cache for idx in missing)
+                asked.extend(missing)
+                missing = requests.send(oracle(missing))
+        except StopIteration as done:
+            approx = done.value
+        assert len(asked) == len(set(asked)) == len(cache)
+        reference, log = tt_cross(oracle, [4, 5, 3, 4], 3, 2, seed=7)
+        assert set(cache) == {idx for idx, _, _ in log.entries}
+        for ca, cb in zip(approx.cores, reference.cores):
+            np.testing.assert_array_equal(ca, cb)
+
+    def test_wrong_number_of_values_rejected(self):
+        requests = cross_requests([3, 3, 3], 2, 1, 0, cache={}, log=None)
+        missing = next(requests)
+        with pytest.raises(ValueError, match="returned"):
+            requests.send([0.0] * (len(missing) - 1))
+
+    def test_short_evaluator_rejected_by_tt_cross(self):
+        with pytest.raises(ValueError, match="returned"):
+            tt_cross(lambda indices: [1.0] * (len(indices) + 1), [3, 3], 2, 1, seed=0)
 
 
 class TestIndexSets:

@@ -217,8 +217,10 @@ class TestLatencyAndFailures:
             evaluator=obj.evaluator,
             failure_model=lambda x: bool(x[0] > 0),
         )
-        with pytest.raises(EvaluationFailure):
+        with pytest.raises(EvaluationFailure) as err:
             failing.evaluate([1.0, 0.0])
+        assert str(err.value) == f"objective evaluation failed at {np.array([1.0, 0.0])}"
+        np.testing.assert_array_equal(err.value.point, [1.0, 0.0])
         assert failing.evaluate([-1.0, 0.0]) == 1.0
 
     def test_dimension_check(self):

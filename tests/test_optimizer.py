@@ -5,14 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tetraopt.optimizer
 from tetraopt import (
     MIXER_BOUNDS,
+    PENALTY_VALUE,
     BlackBoxObjective,
     benchmark,
     mixer_objective,
     mixer_surrogate,
     seeded_failure_model,
     shifted_quadratic,
+    tt_cross,
 )
 from tetraopt.optimizer import (
     SearchGrid,
@@ -300,6 +303,111 @@ def test_results_independent_of_parallelism(failure_seed, seed):
         return events, trace.total_calls, trace.best_value, trace.best_point
 
     assert run(1) == run(2)
+
+
+class _Recording:
+    """Objective proxy that records every point it is asked to evaluate."""
+
+    def __init__(self, objective):
+        self.objective = objective
+        self.seen = []
+
+    def __getattr__(self, name):
+        return getattr(self.objective, name)
+
+    def evaluate(self, x):
+        self.seen.append(tuple(float(v) for v in x))
+        return self.objective.evaluate(x)
+
+
+def _sequential_reference(objective, config):
+    """The optimizer's passes run one after another through ``tt_cross``.
+
+    Returns the evaluated points, the unique-call count, and the minimum
+    over healthy points with the smallest index winning ties.
+    """
+    grid = config.grid
+    cache: dict = {}
+    failed = set()
+    seen = set()
+
+    def evaluate(indices):
+        values = []
+        for idx in indices:
+            point = grid_point(grid, idx)
+            seen.add(tuple(float(v) for v in point))
+            try:
+                value = objective.evaluate(point)
+            except Exception:
+                value = float("nan")
+            if not np.isfinite(value):
+                failed.add(idx)
+                value = PENALTY_VALUE
+            values.append(value)
+        return values
+
+    pass_seeds = np.random.default_rng(config.seed).integers(0, 2**63, size=config.iterations)
+    for pass_seed in pass_seeds:
+        tt_cross(evaluate, grid.shape, config.rank, 1, int(pass_seed), cache=cache)
+    best_value, best_index = min((v, idx) for idx, v in cache.items() if idx not in failed)
+    return seen, len(cache), best_value, tuple(float(v) for v in grid_point(grid, best_index))
+
+
+@settings(max_examples=12, deadline=None)
+@given(
+    failure_seed=st.integers(0, 2**16),
+    seed=st.integers(0, 2**16),
+    iterations=st.integers(1, 3),
+    max_parallel=st.sampled_from([1, 2]),
+)
+def test_lockstep_matches_sequential_passes(failure_seed, seed, iterations, max_parallel):
+    objective = dataclasses.replace(
+        benchmark("rastrigin", 4), failure_model=seeded_failure_model(0.1, failure_seed)
+    )
+    grid = SearchGrid([(lo, hi, 6) for lo, hi in objective.bounds])
+    config = TetraOptConfig(grid=grid, rank=3, iterations=iterations, seed=seed)
+    recording = _Recording(objective)
+    trace = tetraopt_minimize(recording, config, max_parallel=max_parallel)
+    assert (set(recording.seen), trace.total_calls, trace.best_value, trace.best_point) == (
+        _sequential_reference(objective, config)
+    )
+
+
+class TestLockstepRounds:
+    @pytest.mark.parametrize("iterations", [1, 2, 3])
+    def test_each_point_evaluated_once(self, mixer_grid, iterations):
+        recording = _Recording(mixer_objective())
+        trace = tetraopt_minimize(
+            recording,
+            TetraOptConfig(grid=mixer_grid, iterations=iterations, seed=0),
+            max_parallel=2,
+        )
+        assert len(recording.seen) == len(set(recording.seen)) == trace.total_calls
+
+    def test_one_batch_per_round(self, mixer_grid, monkeypatch):
+        batches = []
+        original = tetraopt.optimizer.evaluate_batch
+
+        def counted(objective, request, *args, **kwargs):
+            batches.append(request.indices)
+            return original(objective, request, *args, **kwargs)
+
+        monkeypatch.setattr(tetraopt.optimizer, "evaluate_batch", counted)
+        for seed in range(5):
+            batches.clear()
+            trace = tetraopt_minimize(
+                mixer_objective(),
+                TetraOptConfig(grid=mixer_grid, iterations=2, seed=seed),
+                max_parallel=2,
+            )
+            # One round per core request of a single sweep: 2 * d - 1.
+            assert len(batches) <= 2 * mixer_grid.dimension - 1
+            merged = [idx for batch in batches for idx in batch]
+            assert len(merged) == len(set(merged)) == trace.total_calls
+            # Events carry the unique-call count at the end of a round.
+            ends = set(np.cumsum([len(batch) for batch in batches]).tolist())
+            assert trace.events
+            assert all(event.unique_calls_so_far in ends for event in trace.events)
 
 
 class TestTraceCsv:
