@@ -57,9 +57,9 @@ class SampleLog:
         return batch
 
     def extend(self, indices, values, batch_id: int) -> None:
-        for idx, val in zip(indices, values):
-            self.entries.append((idx, float(val), batch_id))
-            self._seen.add(idx)
+        values = np.asarray(values, dtype=np.float64).tolist()
+        self.entries.extend(zip(indices, values, itertools.repeat(batch_id)))
+        self._seen.update(indices)
 
 
 @dataclass
@@ -152,7 +152,8 @@ def cross_requests(
     def core_matrix(j: int, rows: list[MultiIndex], cols: list[MultiIndex]):
         indices = [p + (i,) + s for p in rows for i in range(shape[j]) for s in cols]
         batch = log.new_batch() if log is not None else None
-        missing = [idx for idx in dict.fromkeys(indices) if idx not in cache]
+        # Distinct prefixes x modes x distinct suffixes: no index repeats.
+        missing = [idx for idx in indices if idx not in cache]
         if missing:
             values = list((yield missing))
             if len(values) != len(missing):

@@ -13,7 +13,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .harness import PENALTY_VALUE
 from .objectives import BlackBoxObjective
@@ -81,6 +80,9 @@ def gp_fit(x, y, kernel: Kernel | None = None, noise_variance: float = DEFAULT_N
     if noise_variance < 0:
         raise ValueError("noise_variance must be >= 0")
     kernel = kernel or Kernel()
+    # Imported here, not at module level: only the GP baseline needs scipy,
+    # and loading it would otherwise be paid by every ``import tetraopt``.
+    from scipy.linalg import cho_factor, cho_solve
 
     y_shift = float(y.mean())
     spread = float(y.std())
@@ -115,6 +117,8 @@ def gp_fit(x, y, kernel: Kernel | None = None, noise_variance: float = DEFAULT_N
 
 
 def _predict_many(model: GaussianProcessModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    from scipy.linalg import cho_solve
+
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     k_star = model.kernel(x, model.observed_x)
     mean = k_star @ model._alpha

@@ -55,7 +55,7 @@ def _pivot_rows(m: np.ndarray) -> list[int]:
 
 
 def _greedy_swaps(
-    work: np.ndarray, start: list[int], swap_tol: float, max_rounds: int
+    work: np.ndarray, start: tuple[int, ...], swap_tol: float, max_rounds: int
 ) -> tuple[list[int], np.ndarray, int]:
     """Swap rows until no single swap multiplies |det| by > 1 + swap_tol."""
     selected = list(start)
@@ -111,9 +111,11 @@ def maxvol(
         for _ in range(_RANDOM_STARTS):
             starts.append([int(i) for i in rng.choice(n, size=r, replace=False)])
 
+    # A repeated start repeats its deterministic swaps and cannot strictly
+    # beat its first run, so each distinct start runs once.
     best: tuple[list[int], np.ndarray, int] | None = None
     best_volume = -1.0
-    for start in starts:
+    for start in dict.fromkeys(tuple(s) for s in starts):
         try:
             candidate = _greedy_swaps(work, start, swap_tol, max_rounds)
         except np.linalg.LinAlgError:

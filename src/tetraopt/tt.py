@@ -9,6 +9,7 @@ slices picked by that index.  Cores are read-only after construction, so a
 
 from __future__ import annotations
 
+import os
 import struct
 from math import prod
 
@@ -17,6 +18,8 @@ import numpy as np
 MultiIndex = tuple[int, ...]
 
 DENSE_CAP = 1_000_000
+
+_ROW_CHUNK = 512
 
 _MAGIC = b"TTRN"
 _FORMAT_VERSION = 1
@@ -143,7 +146,16 @@ def tt_eval(tt: TensorTrain, idx) -> float:
 
 
 def tt_eval_many(tt: TensorTrain, indices) -> np.ndarray:
-    """Vectorized :func:`tt_eval` for an ``(N, d)`` integer index array."""
+    """Vectorized :func:`tt_eval` for an ``(N, d)`` integer index array.
+
+    Rows are contracted left to right.  While fewer than half the rows have
+    distinct prefixes, as in cross requests (prefixes x modes x suffixes),
+    the partial product of each distinct prefix is computed once and shared
+    by its rows; from the first core where that stops holding, rows go on
+    one by one in fixed-size chunks.  Every row passes through the same
+    products in the same order either way, so the result is bit-identical
+    to evaluating each row on its own.
+    """
     indices = np.asarray(indices, dtype=np.intp)
     if indices.ndim != 2 or indices.shape[1] != tt.order:
         raise ValueError("expected an (N, d) index array")
@@ -151,11 +163,32 @@ def tt_eval_many(tt: TensorTrain, indices) -> np.ndarray:
         col = indices[:, j]
         if col.size and (col.min() < 0 or col.max() >= n):
             raise ValueError(f"index out of bounds for mode {j} of size {n}")
-    v = tt.cores[0][0, indices[:, 0], :]
-    for j in range(1, tt.order):
-        slices = tt.cores[j][:, indices[:, j], :]
-        v = np.einsum("nr,rns->ns", v, slices)
-    return v[:, 0]
+    n_rows = indices.shape[0]
+    # Mode-major cores (n, r, s): gathering the slices of a mode is a row copy.
+    cores = [np.ascontiguousarray(core.transpose(1, 0, 2)) for core in tt.cores]
+
+    # v[g] is the partial product of distinct prefix g; row k has prefix group[k].
+    keys, group = np.unique(indices[:, 0], return_inverse=True)
+    v = cores[0][keys, 0, :]
+    j = 1
+    while j < tt.order:
+        n_j = tt.mode_sizes[j]
+        keys, inverse = np.unique(group * n_j + indices[:, j], return_inverse=True)
+        if 2 * keys.size >= n_rows:
+            break
+        v = np.einsum("nr,nrs->ns", v[keys // n_j], cores[j][keys % n_j])
+        group = inverse
+        j += 1
+
+    v = v[group]
+    out = np.empty(n_rows)
+    for start in range(0, n_rows, _ROW_CHUNK):
+        rows = slice(start, start + _ROW_CHUNK)
+        w = v[rows]
+        for k in range(j, tt.order):
+            w = np.einsum("nr,nrs->ns", w, cores[k][indices[rows, k]])
+        out[rows] = w[:, 0]
+    return out
 
 
 def tt_full(tt: TensorTrain, *, max_entries: int = DENSE_CAP) -> np.ndarray:
@@ -290,21 +323,33 @@ def save_tt(tt: TensorTrain, path) -> None:
 
 
 def load_tt(path) -> TensorTrain:
-    """Read a train written by :func:`save_tt`."""
+    """Read a train written by :func:`save_tt`.
+
+    Raises ``ValueError`` when the file is not a well-formed train: bad magic
+    or version, a short header, or declared sizes that need more bytes than
+    the file holds.  Sizes are checked before anything is allocated.
+    """
     with open(path, "rb") as fh:
+        file_size = os.fstat(fh.fileno()).st_size
+
+        def read_array(dtype: str, count: int) -> np.ndarray:
+            if 8 * count > file_size - fh.tell():
+                raise ValueError("truncated tensor-train file")
+            return np.fromfile(fh, dtype=dtype, count=count)
+
         magic = fh.read(4)
         if magic != _MAGIC:
             raise ValueError(f"not a tensor-train file: bad magic {magic!r}")
-        version, order = struct.unpack("<II", fh.read(8))
+        header = fh.read(8)
+        if len(header) != 8:
+            raise ValueError("truncated tensor-train file")
+        version, order = struct.unpack("<II", header)
         if version != _FORMAT_VERSION:
             raise ValueError(f"unsupported format version {version}")
-        mode_sizes = np.fromfile(fh, dtype="<u8", count=order).astype(int)
-        ranks = np.fromfile(fh, dtype="<u8", count=order + 1).astype(int)
+        mode_sizes = [int(n) for n in read_array("<u8", order)]
+        ranks = [int(r) for r in read_array("<u8", order + 1)]
         cores = []
         for j in range(order):
-            count = ranks[j] * mode_sizes[j] * ranks[j + 1]
-            flat = np.fromfile(fh, dtype="<f8", count=count)
-            if flat.size != count:
-                raise ValueError("truncated tensor-train file")
-            cores.append(flat.reshape(ranks[j], mode_sizes[j], ranks[j + 1]))
+            shape = (ranks[j], mode_sizes[j], ranks[j + 1])
+            cores.append(read_array("<f8", prod(shape)).reshape(shape))
     return TensorTrain(cores)

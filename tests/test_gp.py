@@ -245,3 +245,31 @@ class TestBayesMinimize:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             bayes_minimize(benchmark("quadratic", 2), BayesConfig(bounds=[(0, 1)]))
+
+
+def test_package_import_leaves_scipy_unloaded():
+    """Only the GP baseline needs scipy, and it loads it on first use."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import tetraopt
+
+    code = (
+        "import sys\n"
+        "import tetraopt, tetraopt.cli\n"
+        "assert 'scipy' not in sys.modules, 'import tetraopt loaded scipy'\n"
+        "objective = tetraopt.shifted_quadratic([0.3], bounds=[(0.0, 1.0)])\n"
+        "config = tetraopt.BayesConfig(bounds=[(0, 1)], n_iterations=3, seed=0)\n"
+        "trace = tetraopt.bayes_minimize(objective, config)\n"
+        "assert trace.total_calls == 8, trace.total_calls\n"
+        "assert 'scipy' in sys.modules\n"
+    )
+    src = str(Path(tetraopt.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 0, done.stderr

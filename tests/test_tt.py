@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,6 +84,87 @@ class TestEval:
         batch = tt_eval_many(tt, idx)
         singles = [tt_eval(tt, tuple(row)) for row in idx]
         np.testing.assert_allclose(batch, singles, rtol=1e-13)
+
+
+def eval_many_per_row(tt, indices):
+    """Reference: every row contracted on its own, as one batched einsum chain."""
+    indices = np.asarray(indices, dtype=np.intp)
+    v = tt.cores[0][0, indices[:, 0], :]
+    for j in range(1, tt.order):
+        v = np.einsum("nr,rns->ns", v, tt.cores[j][:, indices[:, j], :])
+    return v[:, 0]
+
+
+def cross_shaped(rng, shape, core, n_prefixes, n_suffixes):
+    """Index set ``prefixes x modes of core x suffixes``, as a cross request."""
+    prefixes = [tuple(int(rng.integers(n)) for n in shape[:core]) for _ in range(n_prefixes)]
+    suffixes = [tuple(int(rng.integers(n)) for n in shape[core + 1 :]) for _ in range(n_suffixes)]
+    rows = [p + (i,) + s for p in prefixes for i in range(shape[core]) for s in suffixes]
+    return np.array(rows, dtype=np.intp).reshape(-1, len(shape))
+
+
+class TestEvalMany:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        shape=st.lists(st.integers(1, 6), min_size=1, max_size=7),
+        rank=st.integers(1, 5),
+        n_rows=st.integers(0, 1200),
+    )
+    def test_random_indices_match_per_row(self, seed, shape, rank, n_rows):
+        rng = np.random.default_rng(seed)
+        tt = TensorTrain.random(shape, rank, rng)
+        idx = np.array([[rng.integers(n) for n in shape] for _ in range(n_rows)], dtype=np.intp)
+        idx = idx.reshape(n_rows, len(shape))
+        out = tt_eval_many(tt, idx)
+        assert out.shape == (n_rows,) and out.dtype == np.float64
+        assert np.array_equal(out, eval_many_per_row(tt, idx))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        shape=st.lists(st.integers(1, 12), min_size=1, max_size=8),
+        rank=st.integers(1, 6),
+        core=st.integers(0, 7),
+        n_prefixes=st.integers(1, 12),
+        n_suffixes=st.integers(1, 12),
+    )
+    def test_cross_shaped_indices_match_per_row(
+        self, seed, shape, rank, core, n_prefixes, n_suffixes
+    ):
+        rng = np.random.default_rng(seed)
+        tt = TensorTrain.random(shape, rank, rng)
+        idx = cross_shaped(rng, shape, core % len(shape), n_prefixes, n_suffixes)
+        assert np.array_equal(tt_eval_many(tt, idx), eval_many_per_row(tt, idx))
+
+    def test_cross_request_across_chunk_boundaries(self):
+        # 10 prefixes x 32 modes x 10 suffixes = 3200 rows, several 512-row chunks.
+        rng = np.random.default_rng(5)
+        shape = [32] * 12
+        tt = TensorTrain.random(shape, 10, rng)
+        for core in (0, 5, 11):
+            idx = cross_shaped(rng, shape, core, 10, 10)
+            assert len(idx) == 3200
+            assert np.array_equal(tt_eval_many(tt, idx), eval_many_per_row(tt, idx))
+
+    def test_empty_batch_and_single_core(self):
+        tt = random_tt(8, [4, 3], 2)
+        out = tt_eval_many(tt, np.zeros((0, 2), dtype=np.intp))
+        assert out.shape == (0,) and out.dtype == np.float64
+        vector = TensorTrain([np.array([5.0, -6.0, 7.0]).reshape(1, 3, 1)])
+        idx = np.array([[2], [0], [2], [1]])
+        assert np.array_equal(tt_eval_many(vector, idx), [7.0, 5.0, 7.0, -6.0])
+        assert np.array_equal(tt_eval_many(vector, idx), eval_many_per_row(vector, idx))
+
+    def test_rejects_bad_shape_and_out_of_bounds(self):
+        tt = random_tt(0, [3, 4], 2)
+        for bad in ([0, 1], [[0, 1, 2]], np.zeros((2, 2, 2), dtype=int)):
+            with pytest.raises(ValueError, match=r"expected an \(N, d\) index array"):
+                tt_eval_many(tt, bad)
+        with pytest.raises(ValueError, match="index out of bounds for mode 1 of size 4"):
+            tt_eval_many(tt, [[0, 1], [2, 4]])
+        with pytest.raises(ValueError, match="index out of bounds for mode 0 of size 3"):
+            tt_eval_many(tt, [[-1, 0]])
 
 
 class TestFull:
@@ -258,4 +341,43 @@ class TestSerialization:
         path = tmp_path / "junk.tt"
         path.write_bytes(b"NOPE" + b"\x00" * 64)
         with pytest.raises(ValueError, match="magic"):
+            load_tt(path)
+
+    def write_header(self, path, order, *, sizes=(), ranks=(), cores_bytes=b""):
+        with open(path, "wb") as fh:
+            fh.write(b"TTRN" + struct.pack("<II", 1, order))
+            fh.write(np.asarray(sizes, dtype="<u8").tobytes())
+            fh.write(np.asarray(ranks, dtype="<u8").tobytes())
+            fh.write(cores_bytes)
+
+    def test_truncated_header_rejected(self, tmp_path):
+        path = tmp_path / "short.tt"
+        path.write_bytes(b"TTRN\x01\x00")
+        with pytest.raises(ValueError, match="truncated"):
+            load_tt(path)
+
+    def test_more_modes_than_the_file_holds_rejected(self, tmp_path):
+        path = tmp_path / "modes.tt"
+        self.write_header(path, 5, sizes=[3, 3])
+        with pytest.raises(ValueError, match="truncated"):
+            load_tt(path)
+
+    def test_huge_rank_rejected_before_allocating(self, tmp_path):
+        path = tmp_path / "rank.tt"
+        self.write_header(path, 2, sizes=[3, 3], ranks=[1, 2**40, 1], cores_bytes=b"\x00" * 64)
+        with pytest.raises(ValueError, match="truncated"):
+            load_tt(path)
+
+    def test_truncated_core_data_rejected(self, tmp_path):
+        tt = random_tt(22, [4, 3, 5], 3)
+        path = tmp_path / "cut.tt"
+        save_tt(tt, path)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(ValueError, match="truncated"):
+            load_tt(path)
+
+    def test_order_zero_rejected(self, tmp_path):
+        path = tmp_path / "empty.tt"
+        self.write_header(path, 0, ranks=[1])
+        with pytest.raises(ValueError, match="at least one core"):
             load_tt(path)
