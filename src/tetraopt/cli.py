@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import os
 import statistics
 import sys
@@ -79,7 +80,13 @@ def _as_positive_int(value, context: str) -> int:
 def _as_number(value, context: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{context}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        number = float(value)
+    except OverflowError:  # an integer literal beyond float range
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{context}: expected a finite number, got {value!r}")
+    return number
 
 
 def _build_objective(spec, context: str = "objective") -> BlackBoxObjective:
@@ -450,11 +457,14 @@ def cmd_cross_test(cfg: dict, args) -> int:
         if not isinstance(spec, dict):
             raise ConfigError("power: expected an object")
         _check_keys(spec, "power", required=(), optional=("steps", "max_rank", "rel_tol"))
-        power_cfg = PowerConfig(
-            steps=_as_positive_int(spec.get("steps", 8), "power.steps"),
-            max_rank=_as_positive_int(spec.get("max_rank", 16), "power.max_rank"),
-            rel_tol=_as_number(spec.get("rel_tol", 0.0), "power.rel_tol"),
-        )
+        try:
+            power_cfg = PowerConfig(
+                steps=_as_positive_int(spec.get("steps", 8), "power.steps"),
+                max_rank=_as_positive_int(spec.get("max_rank", 16), "power.max_rank"),
+                rel_tol=_as_number(spec.get("rel_tol", 0.0), "power.rel_tol"),
+            )
+        except ValueError as err:
+            raise ConfigError(f"power: {err}")
 
     d = len(shape)
     budget = 2 * sweeps * d * max(shape) * rank * rank

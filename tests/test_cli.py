@@ -274,6 +274,22 @@ class TestCrossTest:
         assert rows[0] == ["seed", "steps", "max_rank", "index", "power_value", "cross_best_value"]
         assert len(rows) == 2
 
+    @pytest.mark.parametrize("rel_tol", [float("nan"), float("inf"), -1])
+    def test_bad_power_rel_tol_is_config_error(self, tmp_path, capsys, rel_tol):
+        cfg = write_config(
+            tmp_path,
+            {
+                "shape": [4, 4, 4],
+                "generator_rank": 2,
+                "rank": 2,
+                "sweeps": 1,
+                "seeds": [0],
+                "power": {"rel_tol": rel_tol},
+            },
+        )
+        assert main(["cross-test", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+        assert "rel_tol" in capsys.readouterr().err
+
 
 class TestExitCodes:
     def test_runtime_failure_is_exit_3(self, tmp_path, capsys):

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tetraopt import TensorTrain, tt_eval, tt_full
-from tetraopt.power import PowerConfig, rank_growth_probe, tt_power_argmax
+import tetraopt.power
+from tetraopt import TensorTrain, tt_eval, tt_full, tt_hadamard, tt_round
+from tetraopt.power import PowerConfig, _square_round, rank_growth_probe, tt_power_argmax
 
 
 def spike_tensor():
@@ -97,6 +100,74 @@ class TestPowerArgmax:
             PowerConfig(max_rank=0)
         with pytest.raises(ValueError):
             PowerConfig(rel_tol=-0.5)
+        with pytest.raises(ValueError):
+            PowerConfig(rel_tol=float("nan"))
+        with pytest.raises(ValueError):
+            PowerConfig(shift=float("inf"))
+
+    def test_never_forms_the_hadamard_square(self, monkeypatch):
+        def forbidden(*args):
+            raise AssertionError("tt_hadamard called")
+
+        monkeypatch.setattr(tetraopt.power, "tt_hadamard", forbidden)
+        tt = spike_tensor()
+        idx, _ = tt_power_argmax(tt, PowerConfig(steps=4, max_rank=8), seed=0)
+        dense = tt_full(tt)
+        assert tuple(idx) == np.unravel_index(int(np.argmax(dense)), dense.shape)
+
+
+def random_train(seed, d, n, rank, nonnegative):
+    rng = np.random.default_rng(seed)
+    return TensorTrain.random([n] * d, rank, rng, nonnegative=nonnegative)
+
+
+train_args = dict(
+    seed=st.integers(0, 10_000),
+    d=st.integers(2, 5),
+    n=st.integers(2, 6),
+    rank=st.integers(1, 3),
+    nonnegative=st.booleans(),
+)
+
+
+class TestSquareRound:
+    @settings(max_examples=60, deadline=None)
+    @given(**train_args)
+    def test_exact_when_the_square_rank_fits(self, seed, d, n, rank, nonnegative):
+        y = random_train(seed, d, n, rank, nonnegative)
+        expected = tt_full(tt_hadamard(y, y))
+        z = _square_round(y, rank * rank, 0.0, np.random.default_rng(seed))
+        scale = float(np.abs(expected).max())
+        np.testing.assert_allclose(tt_full(z), expected, rtol=1e-10, atol=1e-10 * scale)
+
+    @settings(max_examples=30, deadline=None)
+    @given(**train_args, max_rank=st.integers(1, 3))
+    def test_ranks_capped(self, seed, d, n, rank, nonnegative, max_rank):
+        y = random_train(seed, d, n, rank, nonnegative)
+        z = _square_round(y, max_rank, 0.0, np.random.default_rng(seed))
+        assert all(r <= max_rank for r in z.ranks)
+
+    def test_same_seed_same_cores(self):
+        y = random_train(5, 5, 6, 3, False)
+        a = _square_round(y, 4, 0.0, np.random.default_rng(9))
+        b = _square_round(y, 4, 0.0, np.random.default_rng(9))
+        assert a.ranks == b.ranks
+        for ca, cb in zip(a.cores, b.cores):
+            np.testing.assert_array_equal(ca, cb)
+
+    @settings(max_examples=30, deadline=None)
+    @given(**train_args, rel_tol=st.floats(0.01, 0.5))
+    def test_rel_tol_meets_the_rounding_bound(self, seed, d, n, rank, nonnegative, rel_tol):
+        # tt_round drops at most rel_tol * ||z|| in total, and the sketch is
+        # exact at rank**2, so the error against the dense square obeys it too,
+        # and the ranks are the ones tt_round keeps for the exact square.
+        y = random_train(seed, d, n, rank, nonnegative)
+        square = tt_hadamard(y, y)
+        expected = tt_full(square)
+        z = _square_round(y, rank * rank, rel_tol, np.random.default_rng(seed))
+        err = np.linalg.norm(tt_full(z) - expected)
+        assert err <= (rel_tol + 1e-10) * np.linalg.norm(expected)
+        assert z.ranks == tt_round(square, rank * rank, rel_tol).ranks
 
 
 class TestRankGrowthProbe:

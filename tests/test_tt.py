@@ -2,7 +2,7 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from tetraopt import (
@@ -329,6 +329,28 @@ def test_round_caps_and_reconstructs(seed, max_rank):
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         tt = random_tt(21, [4, 3, 5], 3)
+        path = tmp_path / "train.tt"
+        save_tt(tt, path)
+        loaded = load_tt(path)
+        assert loaded.mode_sizes == tt.mode_sizes
+        assert loaded.ranks == tt.ranks
+        for a, b in zip(loaded.cores, tt.cores):
+            np.testing.assert_array_equal(a, b)
+
+    # Every example rewrites the same file, so sharing tmp_path is safe.
+    @settings(
+        max_examples=40, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(data=st.data(), seed=st.integers(0, 10_000), order=st.integers(1, 5))
+    def test_round_trip_random_shapes(self, tmp_path, data, seed, order):
+        sizes = data.draw(st.lists(st.integers(1, 6), min_size=order, max_size=order))
+        inner = data.draw(st.lists(st.integers(1, 4), min_size=order - 1, max_size=order - 1))
+        ranks = [1, *inner, 1]
+        rng = np.random.default_rng(seed)
+        tt = TensorTrain(
+            [rng.standard_normal((ranks[j], n, ranks[j + 1])) for j, n in enumerate(sizes)]
+        )
         path = tmp_path / "train.tt"
         save_tt(tt, path)
         loaded = load_tt(path)
