@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import json
 import math
 import os
@@ -77,6 +78,12 @@ def _as_positive_int(value, context: str) -> int:
     return value
 
 
+def _as_nonnegative_int(value, context: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        raise ConfigError(f"{context}: expected an integer >= 0, got {value!r}")
+    return value
+
+
 def _as_number(value, context: str) -> float:
     if not isinstance(value, (int, float)) or isinstance(value, bool):
         raise ConfigError(f"{context}: expected a number, got {value!r}")
@@ -107,16 +114,19 @@ def _build_objective(spec, context: str = "objective") -> BlackBoxObjective:
         if "dimension" not in spec:
             raise ConfigError(f"{context}: missing required field 'dimension'")
         dimension = _as_positive_int(spec["dimension"], f"{context}.dimension")
-        if name == "quadratic" and "center" in spec:
-            if not isinstance(spec["center"], list) or len(spec["center"]) != dimension:
-                raise ConfigError(f"{context}.center: expected a list of {dimension} numbers")
-            center = [_as_number(c, f"{context}.center") for c in spec["center"]]
-            bounds = None
-            if "bounds" in spec:
-                bounds = _parse_bounds(spec["bounds"], f"{context}.bounds", dimension)
-            obj = shifted_quadratic(center, bounds)
-        else:
-            obj = benchmark(name, dimension)
+        try:
+            if name == "quadratic" and "center" in spec:
+                if not isinstance(spec["center"], list) or len(spec["center"]) != dimension:
+                    raise ConfigError(f"{context}.center: expected a list of {dimension} numbers")
+                center = [_as_number(c, f"{context}.center") for c in spec["center"]]
+                bounds = None
+                if "bounds" in spec:
+                    bounds = _parse_bounds(spec["bounds"], f"{context}.bounds", dimension)
+                obj = shifted_quadratic(center, bounds)
+            else:
+                obj = benchmark(name, dimension)
+        except ValueError as err:
+            raise ConfigError(f"{context}: {err}")
     else:
         raise ConfigError(
             f"{context}.name: unknown objective {name!r} "
@@ -149,7 +159,10 @@ def _parse_bounds(raw, context: str, dimension: int):
 
 def _build_grid(cfg: dict, objective: BlackBoxObjective, context: str = "grid") -> SearchGrid:
     if "grid" not in cfg:
-        return SearchGrid([(lo, hi, 5) for lo, hi in objective.bounds])
+        try:
+            return SearchGrid([(lo, hi, 5) for lo, hi in objective.bounds])
+        except ValueError as err:
+            raise ConfigError(f"objective.bounds: no valid default grid: {err}")
     raw = cfg["grid"]
     if not isinstance(raw, list) or len(raw) != objective.dimension:
         raise ConfigError(
@@ -189,13 +202,12 @@ def _parse_optimizer(spec, context: str) -> dict:
             spec, context, required=("name",),
             optional=("n_initial", "n_iterations", "kappa"),
         )
-        n_iterations = spec.get("n_iterations", 30)
-        if not isinstance(n_iterations, int) or n_iterations < 0:
-            raise ConfigError(f"{context}.n_iterations: expected an integer >= 0")
         return {
             "name": "bayes",
             "n_initial": _as_positive_int(spec.get("n_initial", 5), f"{context}.n_initial"),
-            "n_iterations": n_iterations,
+            "n_iterations": _as_nonnegative_int(
+                spec.get("n_iterations", 30), f"{context}.n_iterations"
+            ),
             "kappa": _as_number(spec.get("kappa", 2.576), f"{context}.kappa"),
         }
     raise ConfigError(f"{context}.name: unknown optimizer {name!r} (tetraopt | bayes)")
@@ -204,15 +216,14 @@ def _parse_optimizer(spec, context: str) -> dict:
 def _parse_seeds(cfg: dict, override: str | None) -> list[int]:
     if override is not None:
         try:
-            return [int(chunk) for chunk in override.split(",") if chunk.strip() != ""]
+            seeds = [int(chunk) for chunk in override.split(",") if chunk.strip() != ""]
         except ValueError:
             raise ConfigError(f"--seed: expected comma-separated integers, got {override!r}")
+        return [_as_nonnegative_int(seed, "--seed") for seed in seeds]
     raw = cfg.get("seeds", list(range(10)))
-    if not isinstance(raw, list) or not raw or not all(
-        isinstance(s, int) and not isinstance(s, bool) for s in raw
-    ):
+    if not isinstance(raw, list) or not raw:
         raise ConfigError("seeds: expected a nonempty list of integers")
-    return list(raw)
+    return [_as_nonnegative_int(seed, "seeds") for seed in raw]
 
 
 def _resolve_parallel(cfg: dict, flag: int | None) -> int | None:
@@ -240,19 +251,21 @@ def _out_dir(cfg: dict, flag: str | None) -> Path:
     return out
 
 
-def _run_one(objective, grid, opt: dict, seed: int, parallel):
-    if opt["name"] == "tetraopt":
-        config = TetraOptConfig(
-            grid=grid, rank=opt["rank"], iterations=opt["iterations"], seed=seed
-        )
+def _config_template(grid, opt: dict, context: str):
+    """The run configuration of ``opt`` on ``grid``; each run sets its own seed."""
+    fields = {key: value for key, value in opt.items() if key != "name"}
+    try:
+        if opt["name"] == "tetraopt":
+            return TetraOptConfig(grid=grid, **fields)
+        return BayesConfig(bounds=grid.bounds, **fields)
+    except ValueError as err:
+        raise ConfigError(f"{context}: {err}")
+
+
+def _run_one(objective, template, seed: int, parallel):
+    config = dataclasses.replace(template, seed=seed)
+    if isinstance(config, TetraOptConfig):
         return tetraopt_minimize(objective, config, max_parallel=parallel)
-    config = BayesConfig(
-        bounds=grid.bounds,
-        n_initial=opt["n_initial"],
-        n_iterations=opt["n_iterations"],
-        kappa=opt["kappa"],
-        seed=seed,
-    )
     return bayes_minimize(objective, config)
 
 
@@ -268,13 +281,14 @@ def cmd_optimize(cfg: dict, args) -> int:
     objective = _build_objective(cfg["objective"])
     grid = _build_grid(cfg, objective)
     opt = _parse_optimizer(cfg["optimizer"], "optimizer")
+    template = _config_template(grid, opt, "optimizer")
     seeds = _parse_seeds(cfg, args.seed)
     parallel = _resolve_parallel(cfg, args.parallel)
     out = _out_dir(cfg, args.out)
 
     runs = []
     for seed in seeds:
-        trace = _run_one(objective, grid, opt, seed, parallel)
+        trace = _run_one(objective, template, seed, parallel)
         path = out / f"trace_{opt['name']}_{seed}.csv"
         trace.write_csv(path)
         runs.append(
@@ -337,6 +351,9 @@ def cmd_compare(cfg: dict, args) -> int:
         _parse_optimizer(spec, f"optimizers[{pos}]")
         for pos, spec in enumerate(cfg["optimizers"])
     ]
+    templates = [
+        _config_template(grid, spec, f"optimizers[{pos}]") for pos, spec in enumerate(specs)
+    ]
     labels = [spec["name"] for spec in specs]
     if labels[0] == labels[1]:
         labels = [f"{labels[0]}1", f"{labels[1]}2"]
@@ -345,9 +362,9 @@ def cmd_compare(cfg: dict, args) -> int:
     out = _out_dir(cfg, args.out)
 
     all_traces: dict[str, list] = {}
-    for label, opt in zip(labels, specs):
+    for label, template in zip(labels, templates):
         all_traces[label] = [
-            _run_one(objective, grid, opt, seed, parallel) for seed in seeds
+            _run_one(objective, template, seed, parallel) for seed in seeds
         ]
         finals = [trace.best_value for trace in all_traces[label]]
         print(f"{label}: median final best = {statistics.median(finals):.6g}")
@@ -422,7 +439,7 @@ def cmd_bench_parallel(cfg: dict, args) -> int:
     if not isinstance(cfg["levels"], list) or not cfg["levels"]:
         raise ConfigError("levels: expected a nonempty list of integers")
     levels = [_as_positive_int(level, "levels") for level in cfg["levels"]]
-    seed = cfg.get("seed", 0)
+    seed = _as_nonnegative_int(cfg.get("seed", 0), "seed")
     out = _out_dir(cfg, args.out)
 
     rows = parallel_scaling_report(objective, batch_size, levels, seed=seed)
@@ -448,6 +465,9 @@ def cmd_cross_test(cfg: dict, args) -> int:
     rank = _as_positive_int(cfg["rank"], "rank")
     sweeps = _as_positive_int(cfg["sweeps"], "sweeps")
     probes = _as_positive_int(cfg.get("probes", 1000), "probes")
+    save = cfg.get("save_tt", False)
+    if not isinstance(save, bool):
+        raise ConfigError(f"save_tt: expected true or false, got {save!r}")
     seeds = _parse_seeds(cfg, args.seed)
     out = _out_dir(cfg, args.out)
 
@@ -496,7 +516,7 @@ def cmd_cross_test(cfg: dict, args) -> int:
                 f"seed={seed}: rel_error={rel_error:.3e} "
                 f"calls={log.unique_count}/{budget}"
             )
-            if cfg.get("save_tt"):
+            if save:
                 save_tt(approx, out / f"cross_tt_{seed}.tt")
             if power_cfg is not None:
                 idx, value = tt_power_argmax(approx, power_cfg, seed=seed)

@@ -1,10 +1,10 @@
 """Sequential Bayesian optimization baseline: GP surrogate + UCB proposals.
 
-The surrogate is a fixed-hyperparameter Gaussian process (Matérn 5/2 by
-default, unit signal variance on standardized targets).  The driver scales
-inputs to the unit cube, so a length scale of 0.25 spans a quarter of the
-box.  One objective evaluation happens per iteration; the loop is sequential
-by nature.
+The surrogate is a fixed-hyperparameter Gaussian process with a Matérn 5/2
+kernel, the only kernel offered, and unit signal variance on standardized
+targets.  The driver scales inputs to the unit cube, so a length scale of
+0.25 spans a quarter of the box.  One objective evaluation happens per
+iteration; the loop is sequential by nature.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .harness import PENALTY_VALUE
+from .harness import evaluate_point
 from .objectives import BlackBoxObjective
 from .trace import OptimizationTrace
 
@@ -25,15 +25,12 @@ _JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
 
 @dataclass(frozen=True)
 class Kernel:
-    """Stationary covariance: ``matern52`` or ``rbf``."""
+    """Stationary Matérn 5/2 covariance, the only kernel the GP uses."""
 
-    variant: str = "matern52"
     length_scale: float = DEFAULT_LENGTH_SCALE
     signal_variance: float = 1.0
 
     def __post_init__(self):
-        if self.variant not in ("matern52", "rbf"):
-            raise ValueError(f"unknown kernel variant {self.variant!r}")
         if self.length_scale <= 0 or self.signal_variance <= 0:
             raise ValueError("kernel hyperparameters must be positive")
 
@@ -41,8 +38,6 @@ class Kernel:
         """Covariance matrix between the rows of ``a`` and ``b``."""
         diff = a[:, None, :] - b[None, :, :]
         dist = np.sqrt(np.sum(diff**2, axis=-1))
-        if self.variant == "rbf":
-            return self.signal_variance * np.exp(-0.5 * (dist / self.length_scale) ** 2)
         s = np.sqrt(5.0) * dist / self.length_scale
         return self.signal_variance * (1.0 + s + s**2 / 3.0) * np.exp(-s)
 
@@ -199,18 +194,15 @@ class BayesConfig:
         )
 
 
-def bayes_minimize(
-    objective: BlackBoxObjective,
-    config: BayesConfig,
-    *,
-    penalty: float = PENALTY_VALUE,
-) -> OptimizationTrace:
+def bayes_minimize(objective: BlackBoxObjective, config: BayesConfig) -> OptimizationTrace:
     """Minimize with sequential GP/UCB proposals.
 
     Exactly ``n_initial + n_iterations`` objective evaluations happen, one at
     a time.  The GP is fit on unit-cube coordinates of the negated objective
-    (so UCB maximization seeks low objective values).  Failed evaluations get
-    the penalty value and never become incumbents.
+    (so UCB maximization seeks low objective values).  Failures follow the
+    harness's one rule, :func:`~tetraopt.harness.evaluate_point`: a failed
+    evaluation gets ``PENALTY_VALUE``, counts as a call and never becomes the
+    incumbent.
     """
     bounds = config.bounds
     if objective.dimension != len(bounds):
@@ -241,16 +233,11 @@ def bayes_minimize(
 
     def observe(point: np.ndarray) -> None:
         nonlocal best, best_point
-        try:
-            value = objective.evaluate(point)
-            good = np.isfinite(value)
-        except Exception:
-            value, good = penalty, False
-        value = float(value) if good else penalty
+        value, failed = evaluate_point(objective, point)
         xs.append(point)
         raw.append(value)
-        ok.append(good)
-        if good and value < best:
+        ok.append(not failed)
+        if not failed and value < best:
             best = value
             best_point = point
         # One trace row per evaluation: the incumbent curve is step-shaped.

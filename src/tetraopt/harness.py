@@ -6,12 +6,14 @@ come back.  Points inside a batch run on at most ``workers`` threads, where
 (which is what bounds throughput for real simulation workloads).  Each worker
 takes the next unevaluated point when it finishes its previous one, so points
 of uneven latency stay balanced, and writes the outcome into that point's
-slot.  Failed evaluations become a large penalty value and are flagged, never
-raised.
+slot.  :func:`evaluate_point` is the one failure rule of both optimizers: a
+raise, a non-numeric return and a non-finite value all become
+:data:`PENALTY_VALUE` and are flagged as failed, never raised.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 import time
@@ -51,8 +53,8 @@ class BatchRequest:
 class BatchResult:
     """Values aligned with the request, plus timing and failure bookkeeping.
 
-    ``failures`` lists request positions whose evaluation raised or returned
-    a non-finite value; those positions hold the penalty value.
+    ``failures`` lists request positions whose evaluation failed under
+    :func:`evaluate_point`; those positions hold ``PENALTY_VALUE``.
     ``served_from_cache`` counts positions answered without invoking the
     evaluator.
     """
@@ -63,6 +65,20 @@ class BatchResult:
     failures: list[int] = field(default_factory=list)
 
 
+def evaluate_point(objective, point) -> tuple[float, bool]:
+    """``(value, False)`` for a finite float ``value``, else ``(PENALTY_VALUE, True)``.
+
+    A raise and a return that ``float()`` rejects are failures too.
+    """
+    try:
+        value = float(objective.evaluate(point))
+    except Exception:
+        return PENALTY_VALUE, True
+    if not math.isfinite(value):
+        return PENALTY_VALUE, True
+    return value, False
+
+
 def evaluate_batch(
     objective,
     request: BatchRequest,
@@ -70,65 +86,45 @@ def evaluate_batch(
     *,
     cache: dict | None = None,
     failed: set | None = None,
-    penalty: float = PENALTY_VALUE,
 ) -> BatchResult:
-    """Evaluate a batch, deduplicating repeated indices and applying penalties.
+    """Evaluate a batch, deduplicating repeated indices.
 
-    The evaluator runs once per distinct index; duplicates within the batch
-    and indices present in ``cache`` are served from memory.  Exceptions are
-    converted to ``penalty`` and reported in ``failures`` (and recorded in
-    ``failed`` when given) rather than aborting the batch.  The returned
+    The objective runs once per distinct index, through :func:`evaluate_point`;
+    duplicates within the batch and indices present in ``cache`` are served
+    from memory.  Failed indices are added to ``failed`` when given, and
+    ``failures`` lists the positions whose index is in it.  The returned
     values do not depend on the order in which workers finish.
     """
     workers = effective_parallelism(max_parallel)
     cache = {} if cache is None else cache
+    failed = set() if failed is None else failed
     start = time.perf_counter()
 
-    positions: dict[MultiIndex, list[int]] = {}
-    first_point: dict[MultiIndex, np.ndarray] = {}
+    todo: dict[MultiIndex, np.ndarray] = {}
     served_from_cache = 0
-    for pos, (idx, point) in enumerate(zip(request.indices, request.points)):
+    for idx, point in zip(request.indices, request.points):
         if idx in cache:
             served_from_cache += 1
-        positions.setdefault(idx, []).append(pos)
-        first_point.setdefault(idx, point)
-    todo = [idx for idx in positions if idx not in cache]
-
-    def run_one(idx: MultiIndex) -> tuple[float, bool]:
-        try:
-            value = objective.evaluate(first_point[idx])
-        except Exception:
-            return penalty, True
-        if not np.isfinite(value):
-            return penalty, True
-        return float(value), False
-
-    failed_positions: set[int] = set()
-    if todo:
-        if workers == 1 or len(todo) == 1:
-            outcomes = [run_one(idx) for idx in todo]
         else:
-            outcomes = _pull(run_one, todo, min(workers, len(todo)))
-        for idx, (value, did_fail) in zip(todo, outcomes):
-            cache[idx] = value
-            if did_fail:
-                if failed is not None:
-                    failed.add(idx)
-                failed_positions.update(positions[idx])
-    if failed:
-        for idx, spots in positions.items():
-            if idx in failed:
-                failed_positions.update(spots)
+            todo.setdefault(idx, point)
 
-    values = [0.0] * len(request.indices)
-    for idx, spots in positions.items():
-        for pos in spots:
-            values[pos] = cache[idx]
+    points = list(todo.values())
+    if workers == 1 or len(points) <= 1:
+        outcomes = [evaluate_point(objective, point) for point in points]
+    else:
+        outcomes = _pull(
+            lambda point: evaluate_point(objective, point), points, min(workers, len(points))
+        )
+    for idx, (value, did_fail) in zip(todo, outcomes):
+        cache[idx] = value
+        if did_fail:
+            failed.add(idx)
+
     return BatchResult(
-        values=values,
+        values=[cache[idx] for idx in request.indices],
         wall_time_s=time.perf_counter() - start,
         served_from_cache=served_from_cache,
-        failures=sorted(failed_positions),
+        failures=[pos for pos, idx in enumerate(request.indices) if idx in failed],
     )
 
 
@@ -185,6 +181,6 @@ def parallel_scaling_report(
             indices=[(level_pos, i) for i in range(batch_size)],
             points=points,
         )
-        result = evaluate_batch(objective, request, level, cache={})
+        result = evaluate_batch(objective, request, level)
         rows.append((level, result.wall_time_s / batch_size))
     return rows

@@ -54,32 +54,28 @@ def _pivot_rows(m: np.ndarray) -> list[int]:
     return [int(i) for i in order[:r]]
 
 
-def _greedy_swaps(
-    work: np.ndarray, start: tuple[int, ...], swap_tol: float, max_rounds: int
-) -> tuple[list[int], np.ndarray, int]:
-    """Swap rows until no single swap multiplies |det| by > 1 + swap_tol."""
+def _greedy_swaps(work: np.ndarray, start: tuple[int, ...]) -> tuple[list[int], np.ndarray, int]:
+    """Swap rows until no single swap multiplies |det| by > 1 + DEFAULT_SWAP_TOL."""
     selected = list(start)
     swap_count = 0
     while True:
         coeffs = np.linalg.solve(work[selected].T, work.T).T
         i, j = np.unravel_index(int(np.argmax(np.abs(coeffs))), coeffs.shape)
-        if abs(coeffs[i, j]) <= 1.0 + swap_tol or swap_count >= max_rounds:
+        if abs(coeffs[i, j]) <= 1.0 + DEFAULT_SWAP_TOL or swap_count >= MAX_SWAP_ROUNDS:
             return selected, coeffs, swap_count
         selected[j] = int(i)
         swap_count += 1
 
 
-def maxvol(
-    m: np.ndarray,
-    swap_tol: float = DEFAULT_SWAP_TOL,
-    max_rounds: int = MAX_SWAP_ROUNDS,
-) -> MaxVolResult:
+def maxvol(m: np.ndarray) -> MaxVolResult:
     """Select rows forming a submatrix of locally maximal absolute determinant.
 
-    Greedy row swapping (stop once no swap gains more than ``1 + swap_tol``)
-    is run from several deterministic starts: the partial-pivoting rows of
-    the matrix and of its orthogonal factor, the largest-norm rows, and a
-    few fixed-seed random subsets.  The best local optimum wins, which in
+    Greedy row swapping is run from several deterministic starts: the
+    partial-pivoting rows of the matrix and of its orthogonal factor, the
+    largest-norm rows, and a few fixed-seed random subsets.  Each run stops
+    once no single swap multiplies the volume by more than
+    ``1 + DEFAULT_SWAP_TOL`` (0.01), or after ``MAX_SWAP_ROUNDS`` (100)
+    swaps; both are fixed constants.  The best local optimum wins, which in
     practice almost always is the global one.  The result is deterministic
     for a given input.
 
@@ -117,7 +113,7 @@ def maxvol(
     best_volume = -1.0
     for start in dict.fromkeys(tuple(s) for s in starts):
         try:
-            candidate = _greedy_swaps(work, start, swap_tol, max_rounds)
+            candidate = _greedy_swaps(work, start)
         except np.linalg.LinAlgError:
             continue
         volume = float(abs(np.linalg.det(work[candidate[0]])))

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .cross import cross_requests
 from .cross import tt_cross  # noqa: F401  -- bench/layers.py patches this name
-from .harness import PENALTY_VALUE, BatchRequest, evaluate_batch
+from .harness import BatchRequest, evaluate_batch
 from .objectives import BlackBoxObjective
 from .trace import OptimizationTrace, TraceEvent
 from .tt import MultiIndex
@@ -133,8 +133,8 @@ class TetraOptConfig:
 class _IncumbentTracker:
     """Streaming minimum over sampled grid points, with deterministic ties.
 
-    Penalized (failed) indices never become incumbents; among equal values
-    the lexicographically smallest multi-index wins, so the final incumbent
+    Failed evaluations never become incumbents; among equal values the
+    lexicographically smallest multi-index wins, so the final incumbent
     does not depend on the order in which points arrive.  Every batch that
     changes the incumbent, by value or by a tie on a smaller index, records
     one trace event.
@@ -143,15 +143,15 @@ class _IncumbentTracker:
     grid: SearchGrid
     trace: OptimizationTrace
     started_at: float
-    failed: set = field(default_factory=set)
     best_value: float = float("inf")
     best_index: MultiIndex | None = None
 
-    def absorb(self, indices, values, calls: int) -> None:
-        """Take in one evaluated batch; ``calls`` is the run's unique-call count after it."""
+    def absorb(self, indices, values, failures, calls: int) -> None:
+        """Take in one batch but its ``failures``; ``calls`` is the unique-call count after it."""
         changed = False
-        for idx, value in zip(indices, values):
-            if idx in self.failed or not np.isfinite(value):
+        skip = set(failures)
+        for pos, (idx, value) in enumerate(zip(indices, values)):
+            if pos in skip:
                 continue
             if value < self.best_value or (
                 value == self.best_value
@@ -174,7 +174,6 @@ def tetraopt_minimize(
     config: TetraOptConfig,
     *,
     max_parallel: int | None = None,
-    penalty: float = PENALTY_VALUE,
 ) -> OptimizationTrace:
     """Optimize a black-box objective over a uniform grid.
 
@@ -210,14 +209,12 @@ def tetraopt_minimize(
         indices = list(dict.fromkeys(idx for _, misses in pending for idx in misses))
         request = BatchRequest(batch_id=rounds, indices=indices, points=list(grid.points(indices)))
         rounds += 1
-        result = evaluate_batch(
-            objective, request, max_parallel, cache={}, failed=tracker.failed, penalty=penalty
-        )
+        result = evaluate_batch(objective, request, max_parallel)
         values = [sign * v for v in result.values]
         # Cache the whole round before resuming any pass; a pass resumed
         # earlier would otherwise re-request points a later pass received.
         cache.update(zip(indices, values))
-        tracker.absorb(indices, values, len(cache))
+        tracker.absorb(indices, values, result.failures, len(cache))
         pending = [
             (p, misses)
             for p, asked in pending

@@ -299,6 +299,65 @@ class TestExitCodes:
         assert main(["optimize", "--config", cfg, "--out", str(blocker)]) == 3
         assert "runtime failure" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command, payload, flags, key",
+        [
+            ("optimize", {"optimizer": {"name": "bayes", "kappa": -1}}, [], "kappa"),
+            (
+                "optimize",
+                {"optimizer": {"name": "bayes", "n_iterations": True}},
+                [],
+                "n_iterations",
+            ),
+            (
+                "optimize",
+                {"objective": {"name": "quadratic", "dimension": 1, "bounds": [[1, 0]]}},
+                [],
+                "bounds",
+            ),
+            (
+                "optimize",
+                {
+                    "objective": {
+                        "name": "quadratic", "dimension": 1, "center": [0.5], "bounds": [[1, 0]],
+                    }
+                },
+                [],
+                "bounds",
+            ),
+            ("optimize", {"objective": {"name": "rosenbrock", "dimension": 1}}, [], "dimension"),
+            ("optimize", {"seeds": [-1]}, [], "seeds"),
+            ("optimize", {}, ["--seed", "-1"], "--seed"),
+            ("cross-test", {"seeds": [-2]}, [], "seeds"),
+            ("bench-parallel", {"seed": "x"}, [], "seed"),
+            ("bench-parallel", {"seed": -1}, [], "seed"),
+            ("cross-test", {"save_tt": "no"}, [], "save_tt"),
+        ],
+    )
+    def test_config_errors_exit_2_before_any_run(
+        self, tmp_path, capsys, command, payload, flags, key
+    ):
+        base = {
+            "optimize": {
+                "objective": {"name": "quadratic", "dimension": 1},
+                "optimizer": {"name": "tetraopt"},
+                "seeds": [0],
+            },
+            "cross-test": {
+                "shape": [3, 3], "generator_rank": 1, "rank": 1, "sweeps": 1, "seeds": [0],
+            },
+            "bench-parallel": {
+                "objective": {"name": "quadratic", "dimension": 1, "latency_s": 0.001},
+                "batch_size": 2,
+                "levels": [1],
+            },
+        }[command]
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {**base, **payload})
+        assert main([command, "--config", cfg, "--out", str(out), *flags]) == 2
+        assert key in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestParallelResolution:
     def test_env_var_honored(self, tmp_path, monkeypatch):

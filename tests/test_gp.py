@@ -227,6 +227,13 @@ class TestBayesMinimize:
         assert trace.total_calls == 15
         assert 0.5 <= trace.best_value < 1e30
 
+    def test_every_failure_kind_is_penalized_and_counted(self, half_broken):
+        trace = bayes_minimize(
+            half_broken, BayesConfig(bounds=[(0, 1)], n_initial=5, n_iterations=10, seed=0)
+        )
+        assert half_broken.calls == trace.total_calls == 15
+        assert 0.5 <= trace.best_value < 1e30
+
     def test_mixer_run_uses_exactly_35_calls(self):
         from tetraopt import MIXER_BOUNDS, mixer_objective
 

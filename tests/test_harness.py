@@ -129,6 +129,15 @@ class TestEvaluateBatch:
         assert result.values[3] == PENALTY_VALUE
         assert result.values[:2] == [0.0, 1.0]
 
+    def test_every_failure_kind_gets_penalty(self, half_broken):
+        indices = [(0,), (1,), (2,), (0,)]
+        points = [np.array([0.25]), np.array([0.75]), np.array([1.0]), np.array([0.25])]
+        failed: set = set()
+        result = evaluate_batch(half_broken, request_for(indices, points), 2, failed=failed)
+        assert result.values == [PENALTY_VALUE, 0.75, 1.0, PENALTY_VALUE]
+        assert result.failures == [0, 3]
+        assert failed == {(0,)}
+
     def test_order_independence_under_random_delays(self):
         rng = np.random.default_rng(0)
         delays = {k: float(rng.random() * 0.01) for k in range(12)}

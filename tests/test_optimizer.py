@@ -305,6 +305,59 @@ def test_results_independent_of_parallelism(failure_seed, seed):
     assert run(1) == run(2)
 
 
+def _random_landscape(grid: SearchGrid, coef_seed: int, failure_seed=None) -> BlackBoxObjective:
+    """A seeded non-separable function over ``grid``'s box, optionally with 10% failures."""
+    rng = np.random.default_rng(coef_seed)
+    amp, freq = rng.normal(size=grid.dimension), rng.uniform(0.2, 2.0, size=grid.dimension)
+    return BlackBoxObjective(
+        name="landscape",
+        dimension=grid.dimension,
+        bounds=grid.bounds,
+        evaluator=lambda x: float(np.sum(amp * np.cos(freq * x)) + 0.1 * np.prod(np.sin(x))),
+        failure_model=None if failure_seed is None else seeded_failure_model(0.1, failure_seed),
+    )
+
+
+random_runs = st.tuples(
+    st.lists(axis_specs, min_size=1, max_size=4),
+    st.integers(1, 4),
+    st.integers(1, 3),
+    st.integers(0, 2**16),
+    st.integers(0, 2**16),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(run=random_runs, failure_seed=st.integers(0, 2**16))
+def test_call_budget_on_random_grids(run, failure_seed):
+    dims, rank, iterations, seed, coef_seed = run
+    grid = SearchGrid(dims)
+    objective = _random_landscape(grid, coef_seed, failure_seed)
+    config = TetraOptConfig(grid=grid, rank=rank, iterations=iterations, seed=seed)
+    trace = tetraopt_minimize(objective, config, max_parallel=1)
+    budget = 2 * iterations * grid.dimension * max(grid.shape) * rank**2
+    assert trace.total_calls <= min(budget, int(np.prod(grid.shape)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(run=random_runs)
+def test_maximizing_mirrors_minimizing_the_negation(run):
+    dims, rank, iterations, seed, coef_seed = run
+    grid = SearchGrid(dims)
+    objective = _random_landscape(grid, coef_seed)
+    negated = dataclasses.replace(objective, evaluator=lambda x: -objective.evaluate(x))
+    config = TetraOptConfig(grid=grid, rank=rank, iterations=iterations, seed=seed)
+    maximized = tetraopt_minimize(
+        objective, dataclasses.replace(config, minimize=False), max_parallel=1
+    )
+    minimized = tetraopt_minimize(negated, config, max_parallel=1)
+    assert maximized.total_calls == minimized.total_calls
+    assert [(e.unique_calls_so_far, e.best_point) for e in maximized.events] == [
+        (e.unique_calls_so_far, e.best_point) for e in minimized.events
+    ]
+    assert [e.best_value for e in maximized.events] == [-e.best_value for e in minimized.events]
+
+
 class _Recording:
     """Objective proxy that records every point it is asked to evaluate."""
 
