@@ -109,8 +109,11 @@ def _build_objective(spec, context: str = "objective") -> BlackBoxObjective:
         raise ConfigError(f"{context}.latency_s: must be >= 0")
 
     if name == "mixer":
+        _reject_unused(spec, context, name, ("dimension", "center"))
         obj = mixer_objective()
     elif name in _BENCHMARK_NAMES:
+        if name != "quadratic":
+            _reject_unused(spec, context, name, ("center",))
         if "dimension" not in spec:
             raise ConfigError(f"{context}: missing required field 'dimension'")
         dimension = _as_positive_int(spec["dimension"], f"{context}.dimension")
@@ -142,6 +145,12 @@ def _build_objective(spec, context: str = "objective") -> BlackBoxObjective:
             evaluator=obj.evaluator,
         )
     return with_latency(obj, latency) if latency else obj
+
+
+def _reject_unused(spec: dict, context: str, name: str, keys: tuple) -> None:
+    for key in keys:
+        if key in spec:
+            raise ConfigError(f"{context}.{key}: objective {name!r} does not use this field")
 
 
 def _parse_bounds(raw, context: str, dimension: int):

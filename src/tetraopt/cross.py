@@ -19,10 +19,11 @@ from typing import Callable, Generator, Sequence
 
 import numpy as np
 
-from .maxvol import maxvol
+from .maxvol import _COMPLETION_SEED, maxvol
 from .tt import MultiIndex, TensorTrain
 
 _ENUMERATION_CAP = 10_000
+_RANK_RTOL = 1e-10
 
 
 class EvaluationError(RuntimeError):
@@ -105,15 +106,41 @@ def initial_index_sets(rng, shape: Sequence[int], rank: int) -> NestedIndexSets:
 
 
 def _select_pivots(matrix: np.ndarray) -> tuple[list[int], np.ndarray]:
-    """Maxvol pivot rows of the orthogonal factor, plus its coefficients.
+    """Maxvol pivot rows of a basis of the matrix's range, plus coefficients.
 
     Returns ``(rows, coeffs)`` with ``coeffs[rows] == I`` and
-    ``matrix ≈ coeffs @ matrix[rows]`` exactly whenever the QR factor is
-    invertible.  The number of rows equals ``min(matrix.shape)``.
+    ``matrix ≈ coeffs @ matrix[rows]``; the number of rows is
+    ``m = min(matrix.shape)``.  With ``q, R = qr(matrix)``, the numerical
+    rank ``k`` counts the singular values of ``R`` above ``1e-10`` times the
+    largest.  At full rank the rows are ``maxvol(q)``'s, in its order.
+
+    Below full rank, ``q``'s last ``m - k`` columns span directions the
+    matrix does not have, chosen by rounding, so they take no part.  ``k``
+    of the rows are ``maxvol``'s rows of the range ``q @ U_R[:, :k]``: the
+    rows that carry the matrix, its extreme entries among them.  The other
+    ``m - k`` are the first rows of a permutation of the remaining ones,
+    drawn from a generator seeded with the fixed ``_COMPLETION_SEED``, so
+    they spread over the whole index range instead of piling onto low mode
+    indices.  All ``m`` rows are returned in ascending order.  They depend
+    on the range alone, not on rounding or on the basis of the matrix's
+    columns, unless maxvol's greedy search meets a near-tie in volume.
     """
-    q, _ = np.linalg.qr(matrix)
-    result = maxvol(q)
-    return result.row_indices, result.coefficients
+    q, r_factor = np.linalg.qr(matrix)
+    u, sv, _ = np.linalg.svd(r_factor)
+    n, m = q.shape
+    k = int(np.count_nonzero(sv > _RANK_RTOL * sv[0]))
+    if k == m:
+        result = maxvol(q)
+        return result.row_indices, result.coefficients
+    span = q @ u[:, :k]
+    rows = maxvol(span).row_indices if k else []
+    rest = np.setdiff1d(np.arange(n), rows)
+    extra = np.random.default_rng(_COMPLETION_SEED).choice(rest, m - k, replace=False)
+    # Unit columns at the extra rows complete the range: every selection
+    # with a nonzero volume holds them, and the coefficients stay exact.
+    basis = np.hstack([span, np.eye(n)[:, extra]])
+    rows = sorted(rows + [int(a) for a in extra])
+    return rows, np.linalg.solve(basis[rows].T, basis.T).T
 
 
 def cross_requests(

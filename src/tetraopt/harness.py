@@ -7,7 +7,7 @@ come back.  Points inside a batch run on at most ``workers`` threads, where
 takes the next unevaluated point when it finishes its previous one, so points
 of uneven latency stay balanced, and writes the outcome into that point's
 slot.  :func:`evaluate_point` is the one failure rule of both optimizers: a
-raise, a non-numeric return and a non-finite value all become
+raise, a return that is not a real number and a non-finite value all become
 :data:`PENALTY_VALUE` and are flagged as failed, never raised.
 """
 
@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .objectives import real_value
 from .tt import MultiIndex
 
 PENALTY_VALUE = 1e30
@@ -68,10 +69,11 @@ class BatchResult:
 def evaluate_point(objective, point) -> tuple[float, bool]:
     """``(value, False)`` for a finite float ``value``, else ``(PENALTY_VALUE, True)``.
 
-    A raise and a return that ``float()`` rejects are failures too.
+    A raise and a return that is not a real number (text that spells one
+    included, see :func:`~tetraopt.objectives.real_value`) are failures too.
     """
     try:
-        value = float(objective.evaluate(point))
+        value = real_value(objective.evaluate(point))
     except Exception:
         return PENALTY_VALUE, True
     if not math.isfinite(value):

@@ -17,6 +17,8 @@ MAX_SWAP_ROUNDS = 100
 
 _JITTER_SCALE = 1e-12
 _JITTER_SEED = 0x7A11
+# Seeds the rows that complete a rank-deficient pivot matrix in the cross.
+_COMPLETION_SEED = 0xC0317
 _RANDOM_STARTS = 6
 _START_SEED = 0x5EED
 
@@ -54,16 +56,28 @@ def _pivot_rows(m: np.ndarray) -> list[int]:
     return [int(i) for i in order[:r]]
 
 
-def _greedy_swaps(work: np.ndarray, start: tuple[int, ...]) -> tuple[list[int], np.ndarray, int]:
-    """Swap rows until no single swap multiplies |det| by > 1 + DEFAULT_SWAP_TOL."""
+def _greedy_swaps(work: np.ndarray, start: tuple[int, ...]) -> tuple[list[int], int]:
+    """Swap rows until no single swap multiplies |det| by > 1 + DEFAULT_SWAP_TOL.
+
+    ``coeffs = work @ inv(work[selected])`` is formed once; swapping row
+    ``i`` into position ``j`` multiplies |det| by ``|coeffs[i, j]|`` and
+    updates ``coeffs`` by a rank-1 correction (Goreinov et al., *How to find
+    a good submatrix*, 2010), so a swap costs O(n r) and no solve.
+    """
     selected = list(start)
+    coeffs = work @ np.linalg.inv(work[selected])
+    r = coeffs.shape[1]
     swap_count = 0
     while True:
-        coeffs = np.linalg.solve(work[selected].T, work.T).T
-        i, j = np.unravel_index(int(np.argmax(np.abs(coeffs))), coeffs.shape)
-        if abs(coeffs[i, j]) <= 1.0 + DEFAULT_SWAP_TOL or swap_count >= MAX_SWAP_ROUNDS:
-            return selected, coeffs, swap_count
-        selected[j] = int(i)
+        i, j = divmod(int(np.argmax(np.abs(coeffs))), r)
+        pivot = coeffs[i, j]
+        if abs(pivot) <= 1.0 + DEFAULT_SWAP_TOL or swap_count >= MAX_SWAP_ROUNDS:
+            return selected, swap_count
+        column = coeffs[:, j] / pivot
+        row = coeffs[i].copy()
+        row[j] -= 1.0
+        coeffs -= np.outer(column, row)
+        selected[j] = i
         swap_count += 1
 
 
@@ -78,6 +92,15 @@ def maxvol(m: np.ndarray) -> MaxVolResult:
     swaps; both are fixed constants.  The best local optimum wins, which in
     practice almost always is the global one.  The result is deterministic
     for a given input.
+
+    Ties: each swap takes the largest ``|coefficient|``, the first in
+    row-major order on an exact tie, and among the starts the first one
+    whose ``|det|`` is strictly largest wins.  Several starts often reach
+    the same rows in different orders; which order is returned then
+    depends on the rounding of ``det``, and a caller that needs an order
+    independent of rounding sorts the rows (the cross does so below full
+    rank).  Volume ratios and coefficients are the same for ``m`` and
+    ``m @ M`` with ``M`` invertible; only the starts see the basis.
 
     Rank-deficient inputs are perturbed by a tiny fixed-seed jitter
     (``1e-12 * max|entry|``) and flagged ``degenerate``.
@@ -109,7 +132,7 @@ def maxvol(m: np.ndarray) -> MaxVolResult:
 
     # A repeated start repeats its deterministic swaps and cannot strictly
     # beat its first run, so each distinct start runs once.
-    best: tuple[list[int], np.ndarray, int] | None = None
+    best: tuple[list[int], int] | None = None
     best_volume = -1.0
     for start in dict.fromkeys(tuple(s) for s in starts):
         try:
@@ -123,7 +146,9 @@ def maxvol(m: np.ndarray) -> MaxVolResult:
     if best is None:
         raise np.linalg.LinAlgError("maxvol could not find a nonsingular submatrix")
 
-    selected, coeffs, swap_count = best
+    selected, swap_count = best
+    # One solve for the winner: the returned coefficients carry no update drift.
+    coeffs = np.linalg.solve(work[selected].T, work.T).T
     volume = float(abs(np.linalg.det(m[selected])))
     return MaxVolResult(
         row_indices=list(selected),

@@ -32,6 +32,13 @@ class EvaluationFailure(RuntimeError):
         return f"objective evaluation failed at {self.point}"
 
 
+def real_value(value) -> float:
+    """``float(value)``, except that text raises ``TypeError`` even when it spells a number."""
+    if isinstance(value, (str, bytes, bytearray)):
+        raise TypeError(f"expected a real number, got {type(value).__name__}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class BlackBoxObjective:
     """A function known only through point evaluations.
@@ -59,7 +66,7 @@ class BlackBoxObjective:
             time.sleep(self.latency_s)
         if self.failure_model is not None and self.failure_model(x):
             raise EvaluationFailure(x)
-        return float(self.evaluator(x))
+        return real_value(self.evaluator(x))
 
     __call__ = evaluate
 

@@ -59,3 +59,9 @@ class HalfBroken:
 def half_broken(request) -> HalfBroken:
     """A :class:`HalfBroken` objective for each way an evaluation can fail."""
     return HalfBroken(_BROKEN_OUTCOMES[request.param])
+
+
+@pytest.fixture(params=["0.3", b"0.3"], ids=["str", "bytes"])
+def numeric_text(request) -> HalfBroken:
+    """A :class:`HalfBroken` objective whose broken half returns a number as text."""
+    return HalfBroken(lambda: request.param)

@@ -59,6 +59,23 @@ class TestConfigValidation:
         assert code == 2
         assert "dimension" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "objective, key",
+        [
+            ({"name": "mixer", "dimension": 7}, "dimension"),
+            ({"name": "mixer", "center": [1]}, "center"),
+            ({"name": "rastrigin", "dimension": 2, "center": [0, 0]}, "center"),
+            ({"name": "rosenbrock", "dimension": 2, "center": [0, 0]}, "center"),
+            ({"name": "ackley", "dimension": 2, "center": [0, 0]}, "center"),
+        ],
+    )
+    def test_key_the_objective_ignores_is_rejected(self, tmp_path, capsys, objective, key):
+        cfg = write_config(tmp_path, {"objective": objective, "optimizer": {"name": "tetraopt"}})
+        code = main(["optimize", "--config", cfg, "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"objective.{key}" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_bad_json_line_reported(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text('{\n  "objective": ???\n}')

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tetraopt import (
     EvaluationError,
@@ -14,7 +16,7 @@ from tetraopt import (
     tt_eval_many,
     tt_full,
 )
-from tetraopt.cross import initial_index_sets
+from tetraopt.cross import _select_pivots, initial_index_sets
 
 
 def probe_error(source, approx, n_probes=1000, seed=99):
@@ -253,3 +255,20 @@ def test_cross_interpolates_a_smooth_function():
         idx = tuple(int(rng.integers(8)) for _ in range(3))
         expected = fn(idx)
         assert abs(dense[idx] - expected) <= 1e-6 * max(1.0, abs(expected))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), m=st.integers(2, 8), extra=st.integers(0, 40), data=st.data())
+def test_deficient_pivots_do_not_depend_on_rounding(seed, m, extra, data):
+    k = data.draw(st.integers(1, m - 1), label="rank")
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((m + extra, k)) @ rng.standard_normal((k, m))
+    rows, coeffs = _select_pivots(a)
+    noise = 1e-13 * np.abs(a).max() * rng.standard_normal(a.shape)
+    assert _select_pivots(a + noise)[0] == rows
+    rotation = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    assert _select_pivots(a @ rotation)[0] == rows
+
+    assert rows == sorted(set(rows)) and len(rows) == m
+    np.testing.assert_allclose(coeffs[rows], np.eye(m), atol=1e-12)
+    np.testing.assert_allclose(coeffs @ a[rows], a, rtol=0, atol=1e-10 * np.abs(a).max())

@@ -234,6 +234,13 @@ class TestBayesMinimize:
         assert half_broken.calls == trace.total_calls == 15
         assert 0.5 <= trace.best_value < 1e30
 
+    def test_numeric_text_is_penalized(self, numeric_text):
+        trace = bayes_minimize(
+            numeric_text, BayesConfig(bounds=[(0, 1)], n_initial=5, n_iterations=10, seed=0)
+        )
+        assert numeric_text.calls == trace.total_calls == 15
+        assert 0.5 <= trace.best_value < 1e30
+
     def test_mixer_run_uses_exactly_35_calls(self):
         from tetraopt import MIXER_BOUNDS, mixer_objective
 

@@ -20,7 +20,7 @@ from tetraopt import (
     seeded_failure_model,
     with_latency,
 )
-from tetraopt.harness import _pull, effective_parallelism
+from tetraopt.harness import _pull, effective_parallelism, evaluate_point
 
 CORES = os.cpu_count() or 1
 
@@ -137,6 +137,20 @@ class TestEvaluateBatch:
         assert result.values == [PENALTY_VALUE, 0.75, 1.0, PENALTY_VALUE]
         assert result.failures == [0, 3]
         assert failed == {(0,)}
+
+    def test_numeric_text_is_a_failure(self, numeric_text):
+        assert evaluate_point(numeric_text, np.array([0.25])) == (PENALTY_VALUE, True)
+        assert evaluate_point(numeric_text, np.array([0.75])) == (0.75, False)
+        wrapped = BlackBoxObjective(
+            name="text", dimension=1, bounds=((0.0, 1.0),),
+            evaluator=lambda x: numeric_text.evaluate(x),
+        )
+        indices = [(0,), (1,)]
+        result = evaluate_batch(
+            wrapped, request_for(indices, [np.array([0.25]), np.array([0.75])]), 1
+        )
+        assert result.values == [PENALTY_VALUE, 0.75]
+        assert result.failures == [0]
 
     def test_order_independence_under_random_delays(self):
         rng = np.random.default_rng(0)

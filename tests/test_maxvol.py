@@ -1,12 +1,16 @@
+import importlib
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tetraopt import maxvol, maxvol_element_bound_check
-from tetraopt.maxvol import DEFAULT_SWAP_TOL
+from tetraopt.maxvol import DEFAULT_SWAP_TOL, MAX_SWAP_ROUNDS
+
+maxvol_module = importlib.import_module("tetraopt.maxvol")
 
 
 def exhaustive_best_volume(m: np.ndarray) -> float:
@@ -107,3 +111,41 @@ def test_element_bound_property(seed, n, r):
     m = np.random.default_rng(seed).standard_normal((n, r))
     _, _, holds = maxvol_element_bound_check(m)
     assert holds
+
+
+def resolving_greedy(work, start):
+    """Reference greedy: solve for the coefficients again after every swap."""
+    selected = list(start)
+    swap_count = 0
+    while True:
+        coeffs = np.linalg.solve(work[selected].T, work.T).T
+        i, j = np.unravel_index(int(np.argmax(np.abs(coeffs))), coeffs.shape)
+        if abs(coeffs[i, j]) <= 1.0 + DEFAULT_SWAP_TOL or swap_count >= MAX_SWAP_ROUNDS:
+            return selected, swap_count
+        selected[j] = int(i)
+        swap_count += 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), r=st.integers(1, 8), extra=st.integers(0, 60))
+def test_rank_one_updates_match_resolving_greedy(seed, r, extra):
+    m = np.random.default_rng(seed).standard_normal((r + extra, r))
+    local_optima = {}
+
+    def reference(work, start):
+        selected, swap_count = resolving_greedy(work, start)
+        local_optima[frozenset(selected)] = abs(np.linalg.det(work[selected]))
+        return selected, swap_count
+
+    with mock.patch.object(maxvol_module, "_greedy_swaps", reference):
+        expected = maxvol(m)
+    # A volume gap: the best local optimum beats every other one clearly.
+    volumes = sorted(local_optima.values(), reverse=True)
+    assume(len(volumes) == 1 or volumes[0] > volumes[1] * (1 + 1e-6))
+
+    result = maxvol(m)
+    assert result.row_indices == expected.row_indices
+    assert result.swap_count == expected.swap_count
+    np.testing.assert_allclose(
+        result.coefficients, m @ np.linalg.inv(m[result.row_indices]), rtol=0, atol=1e-10
+    )

@@ -17,6 +17,7 @@ from tetraopt import (
     shifted_quadratic,
     tt_cross,
 )
+from tetraopt.harness import evaluate_point
 from tetraopt.optimizer import (
     SearchGrid,
     TetraOptConfig,
@@ -228,6 +229,16 @@ class TestTetraOpt:
         assert trace.best_value < 1e30
         assert not np.allclose(trace.best_point, target)
 
+    def test_numeric_text_is_a_failure(self, numeric_text):
+        # Points below 0.5 return "0.3" as text: failures, never the incumbent.
+        grid = SearchGrid([(0.0, 1.0, 5)])
+        trace = tetraopt_minimize(
+            numeric_text, TetraOptConfig(grid=grid, rank=1, iterations=1, seed=0), max_parallel=1
+        )
+        assert numeric_text.calls == trace.total_calls == 5
+        assert trace.best_value == 0.5
+        assert trace.best_point == (0.5,)
+
     def test_non_finite_objective_values_excluded(self):
         # NaN at the would-be optimum: the run must not crash and the
         # incumbent must settle on a healthy point.
@@ -337,6 +348,22 @@ def test_call_budget_on_random_grids(run, failure_seed):
     trace = tetraopt_minimize(objective, config, max_parallel=1)
     budget = 2 * iterations * grid.dimension * max(grid.shape) * rank**2
     assert trace.total_calls <= min(budget, int(np.prod(grid.shape)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(run=random_runs, failure_seed=st.integers(0, 2**16))
+def test_incumbent_is_min_over_healthy_evaluations(run, failure_seed):
+    dims, rank, iterations, seed, coef_seed = run
+    grid = SearchGrid(dims)
+    objective = _random_landscape(grid, coef_seed, failure_seed)
+    recording = _Recording(objective)
+    config = TetraOptConfig(grid=grid, rank=rank, iterations=iterations, seed=seed)
+    trace = tetraopt_minimize(recording, config, max_parallel=1)
+    outcomes = [evaluate_point(objective, np.array(x)) for x in set(recording.seen)]
+    healthy = [value for value, failed in outcomes if not failed]
+    assert trace.best_value == min(healthy, default=float("inf"))
+    if healthy:
+        assert objective.evaluate(trace.best_point) == trace.best_value
 
 
 @settings(max_examples=40, deadline=None)
