@@ -8,14 +8,20 @@ algorithm asks for goes through a memo cache and is recorded in a
 that yields each batch of cache misses and receives their values, so a
 caller can merge the requests of several runs into one batch;
 :func:`tt_cross` drives it with a blocking evaluator.
+
+Inside, a batch of multi-indices is an ``(N, d)`` integer array, and each
+index is known by a packed ``bytes`` key (:func:`pack_keys`).  The cache
+(:class:`IndexCache`) and the log hold keys and arrays; tuples are built
+only for an evaluator or a reader that asks for them.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass
 from math import prod
-from typing import Callable, Generator, Sequence
+from typing import Callable, Generator
 
 import numpy as np
 
@@ -24,6 +30,8 @@ from .tt import MultiIndex, TensorTrain
 
 _ENUMERATION_CAP = 10_000
 _RANK_RTOL = 1e-10
+_KEY_DTYPE = np.dtype(">u4")
+_KEY_LIMIT = 2**32
 
 
 class EvaluationError(RuntimeError):
@@ -35,18 +43,125 @@ class EvaluationError(RuntimeError):
         self.cause = cause
 
 
-@dataclass
+def pack_keys(rows) -> list[bytes]:
+    """One ``bytes`` key per row of an ``(N, d)`` array of grid indices.
+
+    Each coordinate takes four big-endian bytes, whatever the shape, so
+    keys compare like the tuples they encode and one index never has two
+    keys.  Coordinates must lie in ``[0, 2**32)``.
+    """
+    rows = np.asarray(rows)
+    if rows.size and (rows.min() < 0 or rows.max() >= _KEY_LIMIT):
+        raise ValueError(f"grid indices must lie in [0, {_KEY_LIMIT})")
+    packed = np.ascontiguousarray(rows, dtype=_KEY_DTYPE)
+    width = np.dtype((np.void, _KEY_DTYPE.itemsize * rows.shape[1]))
+    return packed.view(width).ravel().tolist()
+
+
+def unpack_keys(keys: Sequence[bytes], d: int) -> np.ndarray:
+    """The ``(N, d)`` index array that :func:`pack_keys` encoded as ``keys``."""
+    flat = np.frombuffer(b"".join(keys), dtype=_KEY_DTYPE)
+    return flat.reshape(len(keys), d).astype(np.intp)
+
+
+class IndexBatch(Sequence):
+    """Multi-indices backed by an ``(N, d)`` ``intp`` array and their packed keys.
+
+    ``len``, iteration and indexing give tuples, built only when asked for;
+    ``np.asarray(batch)`` is ``batch.array`` itself, with no Python loop.
+    """
+
+    __slots__ = ("array", "keys")
+
+    def __init__(self, array: np.ndarray, keys: list[bytes]):
+        self.array = array
+        self.keys = keys
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __iter__(self):
+        return map(tuple, self.array.tolist())
+
+    def __getitem__(self, pos):
+        if isinstance(pos, slice):
+            return IndexBatch(self.array[pos], self.keys[pos])
+        return tuple(self.array[pos].tolist())
+
+    def __array__(self, dtype=None, copy=None):
+        if copy:
+            return np.array(self.array, dtype=dtype)
+        return self.array if dtype is None else self.array.astype(dtype, copy=False)
+
+
+class IndexCache(dict):
+    """Objective values keyed by the packed keys of their grid indices.
+
+    ``known`` and ``store`` take a batch at once: the keys and the ``(N, d)``
+    index array they encode.
+    """
+
+    def known(self, keys: list[bytes], rows: np.ndarray) -> list:
+        """The cached value of each key, or None where it has none."""
+        return list(map(self.get, keys))
+
+    def store(self, keys: list[bytes], rows: np.ndarray, values: Sequence[float]) -> None:
+        self.update(zip(keys, values))
+
+
+class _DictCache(IndexCache):
+    """An :class:`IndexCache` in front of a caller's ``dict`` keyed by index tuples.
+
+    Keys it lacks are looked up in the dict, and stored values go into
+    both, so the dict reads as it would if it were the only cache.
+    """
+
+    def __init__(self, outer: dict):
+        super().__init__()
+        self.outer = outer
+
+    def known(self, keys, rows):
+        got = super().known(keys, rows)
+        if self.outer and None in got:
+            lacking = [pos for pos, value in enumerate(got) if value is None]
+            for pos, idx in zip(lacking, map(tuple, rows[lacking].tolist())):
+                value = self.outer.get(idx)
+                if value is not None:
+                    got[pos] = self[keys[pos]] = float(value)
+        return got
+
+    def store(self, keys, rows, values):
+        super().store(keys, rows, values)
+        self.outer.update(zip(map(tuple, rows.tolist()), values))
+
+
 class SampleLog:
     """Every index requested during cross interpolation, in request order.
 
-    ``entries`` holds ``(multi_index, value, batch_id)`` triples; indices
-    repeat when later batches re-request cached points.  ``batch_id`` is
+    The log keeps one record per request: the indices' packed keys (shared
+    with the cache that holds them), their values as an array, and the
+    batch id.  ``entries`` expands the records into ``(multi_index, value,
+    batch_id)`` triples when first read and keeps them; indices repeat when
+    later batches re-request cached points, and ``batch_id`` is
     nondecreasing.  ``unique_count`` counts distinct indices.
     """
 
-    entries: list[tuple[MultiIndex, float, int]] = field(default_factory=list)
-    _seen: set = field(default_factory=set, repr=False)
-    _next_batch: int = field(default=0, repr=False)
+    def __init__(self):
+        self._records: list[tuple[list[bytes], np.ndarray, int]] = []
+        self._seen: set[bytes] = set()
+        self._entries: list[tuple[MultiIndex, float, int]] = []
+        self._expanded = 0
+        self._next_batch = 0
+
+    @property
+    def entries(self) -> list[tuple[MultiIndex, float, int]]:
+        for keys, values, batch in self._records[self._expanded :]:
+            rows = unpack_keys(keys, len(keys[0]) // _KEY_DTYPE.itemsize)
+            self._entries.extend(
+                zip(map(tuple, rows.tolist()), values.tolist(), itertools.repeat(batch))
+            )
+        self._expanded = len(self._records)
+        return self._entries
 
     @property
     def unique_count(self) -> int:
@@ -58,9 +173,15 @@ class SampleLog:
         return batch
 
     def extend(self, indices, values, batch_id: int) -> None:
-        values = np.asarray(values, dtype=np.float64).tolist()
-        self.entries.extend(zip(indices, values, itertools.repeat(batch_id)))
-        self._seen.update(indices)
+        """Record ``indices`` (tuples or an :class:`IndexBatch`) with their values."""
+        values = np.asarray(values, dtype=np.float64)
+        if len(values):
+            rows = np.asarray(indices, dtype=np.intp).reshape(len(values), -1)
+            self._record(pack_keys(rows), values, batch_id)
+
+    def _record(self, keys: list[bytes], values: np.ndarray, batch_id: int) -> None:
+        self._records.append((keys, values, batch_id))
+        self._seen.update(keys)
 
 
 @dataclass
@@ -149,50 +270,65 @@ def cross_requests(
     sweeps: int,
     seed: int,
     *,
-    cache: dict,
+    cache: IndexCache | dict | None,
     log: SampleLog | None,
-) -> Generator[list[MultiIndex], Sequence[float], TensorTrain]:
+) -> Generator[IndexBatch, Sequence[float], TensorTrain]:
     """Cross interpolation as a generator of evaluation requests.
 
-    Each core request yields its distinct cache misses, in request order,
-    and expects their values to be sent back; requests fully served by
-    ``cache`` yield nothing.  Received values are stored in ``cache`` and
-    every requested entry goes to ``log`` (skipped when ``log`` is None).
-    The generator returns the interpolant.  Several generators can share one
-    cache and run in lockstep, provided every value of a round is cached
-    before any of them is resumed; otherwise one re-requests points another
-    has just received.  Arguments are as for :func:`tt_cross`, and are
-    validated on the first ``next``.
+    Each core request yields its distinct cache misses, in request order, as
+    an :class:`IndexBatch`, and expects their values to be sent back;
+    requests fully served by the cache yield nothing.  An
+    :class:`IndexCache` is used as it is and None stands for a fresh one.
+    A plain ``dict`` is wrapped in a fresh one that also looks up, by index
+    tuple, the keys it lacks in the dict, and fills the dict with every
+    value received.  Every requested
+    entry goes to ``log`` (skipped when ``log`` is None).  The generator
+    returns the interpolant.  Several generators can share one cache and
+    run in lockstep, provided every value of a round is cached before any
+    of them is resumed; otherwise one re-requests points another has just
+    received.  Arguments are as for :func:`tt_cross`, and are validated on
+    the first ``next``.
     """
     shape = [int(n) for n in shape]
     d = len(shape)
     if d < 1 or min(shape) < 1:
         raise ValueError(f"invalid tensor shape {shape}")
+    if max(shape) >= _KEY_LIMIT:
+        raise ValueError(f"mode sizes must be below {_KEY_LIMIT}")
     if rank < 1:
         raise ValueError("rank must be >= 1")
     if sweeps < 1:
         raise ValueError("sweeps must be >= 1")
+    if cache is None:
+        cache = IndexCache()
+    elif not isinstance(cache, IndexCache):
+        cache = _DictCache(cache)
 
     rng = np.random.default_rng(seed)
     sets = initial_index_sets(rng, shape, rank)
 
-    def core_matrix(j: int, rows: list[MultiIndex], cols: list[MultiIndex]):
-        indices = [p + (i,) + s for p in rows for i in range(shape[j]) for s in cols]
+    def core_matrix(j: int, prefixes: list[MultiIndex], suffixes: list[MultiIndex]):
+        # Prefixes x modes x suffixes, in that nesting: no index repeats.
+        n, a, c = shape[j], len(prefixes), len(suffixes)
+        block = np.empty((a, n, c, d), dtype=np.intp)
+        block[..., :j] = np.reshape(prefixes, (a, 1, 1, j))
+        block[..., j] = np.arange(n).reshape(1, n, 1)
+        block[..., j + 1 :] = np.reshape(suffixes, (1, 1, c, d - 1 - j))
+        rows = block.reshape(-1, d)
+        keys = pack_keys(rows)
         batch = log.new_batch() if log is not None else None
-        # Distinct prefixes x modes x distinct suffixes: no index repeats.
-        missing = [idx for idx in indices if idx not in cache]
+        got = cache.known(keys, rows)
+        missing = [pos for pos, value in enumerate(got) if value is None]
         if missing:
-            values = list((yield missing))
-            if len(values) != len(missing):
-                raise ValueError(
-                    f"evaluator returned {len(values)} values for {len(missing)} indices"
-                )
-            for idx, val in zip(missing, values):
-                cache[idx] = float(val)
-        out = np.array([cache[idx] for idx in indices], dtype=np.float64)
+            request = IndexBatch(rows[missing], [keys[pos] for pos in missing])
+            values = _received((yield request), len(missing))
+            cache.store(request.keys, request.array, values)
+            for pos, value in zip(missing, values):
+                got[pos] = value
+        out = np.array(got, dtype=np.float64)
         if log is not None:
-            log.extend(indices, out, batch)
-        return out.reshape(len(rows) * shape[j], len(cols))
+            log._record(keys, out, batch)
+        return out.reshape(a * n, c)
 
     cores: list[np.ndarray | None] = [None] * d
     for _ in range(sweeps):
@@ -223,14 +359,25 @@ def cross_requests(
     return TensorTrain(cores)
 
 
+def _received(values, count: int) -> list[float]:
+    """An evaluator's answer to ``count`` indices as a list of floats."""
+    if isinstance(values, np.ndarray):
+        values = values.astype(np.float64, copy=False).reshape(-1).tolist()
+    else:
+        values = list(map(float, values))
+    if len(values) != count:
+        raise ValueError(f"evaluator returned {len(values)} values for {count} indices")
+    return values
+
+
 def tt_cross(
-    evaluate: Callable[[list[MultiIndex]], Sequence[float]],
+    evaluate: Callable[[IndexBatch], Sequence[float]],
     shape: Sequence[int],
     rank: int,
     sweeps: int,
     seed: int,
     *,
-    cache: dict | None = None,
+    cache: IndexCache | dict | None = None,
     log: SampleLog | None = None,
 ) -> tuple[TensorTrain, SampleLog]:
     """Approximate a tensor given only point evaluations.
@@ -238,11 +385,12 @@ def tt_cross(
     Parameters
     ----------
     evaluate : callable
-        Maps a list of multi-indices to their tensor values.  It is called
-        once per batch and only with indices missing from the cache; values
-        inside a batch may be computed concurrently by the callee.
+        Maps an :class:`IndexBatch` of multi-indices (a sequence of tuples
+        over an ``(N, d)`` index array) to their tensor values.  It is
+        called once per batch and only with indices missing from the cache;
+        values inside a batch may be computed concurrently by the callee.
     shape : sequence of int
-        Mode sizes of the tensor.
+        Mode sizes of the tensor, each below ``2**32``.
     rank : int
         Target bond rank (index sets never grow beyond it).
     sweeps : int
@@ -251,14 +399,17 @@ def tt_cross(
         Seeds the initial column sets; fixes the whole run.
     cache, log : optional
         Shared memo cache and sample log, e.g. to string several runs
-        together.  Fresh ones are created when omitted.
+        together.  The cache is an :class:`IndexCache`, or a ``dict`` keyed
+        by index tuples that is read and filled as
+        :func:`cross_requests` describes.  Fresh ones are created when
+        omitted.
 
     Returns
     -------
     (TensorTrain, SampleLog)
         The interpolant and the log of every requested index.
     """
-    cache = {} if cache is None else cache
+    cache = IndexCache() if cache is None else cache
     log = SampleLog() if log is None else log
     requests = cross_requests(shape, rank, sweeps, seed, cache=cache, log=log)
     values = None
@@ -270,24 +421,24 @@ def tt_cross(
         values = evaluate(missing)
 
 
-def tensor_oracle(tt: TensorTrain) -> Callable[[list[MultiIndex]], np.ndarray]:
+def tensor_oracle(tt: TensorTrain) -> Callable[[IndexBatch], np.ndarray]:
     """Batch evaluator backed by an existing train (for synthetic tests)."""
     from .tt import tt_eval_many
 
-    def evaluate(indices: list[MultiIndex]) -> np.ndarray:
-        return tt_eval_many(tt, np.array(indices, dtype=np.intp))
+    def evaluate(indices) -> np.ndarray:
+        return tt_eval_many(tt, np.asarray(indices, dtype=np.intp))
 
     return evaluate
 
 
-def pointwise_oracle(fn: Callable[[MultiIndex], float]) -> Callable[[list[MultiIndex]], list[float]]:
+def pointwise_oracle(fn: Callable[[MultiIndex], float]) -> Callable[[IndexBatch], list[float]]:
     """Batch evaluator from a per-index function.
 
     Exceptions raised at a point surface as :class:`EvaluationError`
     carrying the offending index.
     """
 
-    def evaluate(indices: list[MultiIndex]) -> list[float]:
+    def evaluate(indices) -> list[float]:
         values = []
         for idx in indices:
             try:

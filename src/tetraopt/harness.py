@@ -19,11 +19,11 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import Hashable
 
 import numpy as np
 
 from .objectives import real_value
-from .tt import MultiIndex
 
 PENALTY_VALUE = 1e30
 
@@ -39,10 +39,14 @@ def effective_parallelism(max_parallel: int | None) -> int:
 
 @dataclass
 class BatchRequest:
-    """Aligned grid indices and real-space points to evaluate together."""
+    """Aligned grid indices and real-space points to evaluate together.
+
+    An index is any hashable key naming its point: a multi-index tuple, or
+    the packed key (:func:`~tetraopt.cross.pack_keys`) the optimizer passes.
+    """
 
     batch_id: int
-    indices: list[MultiIndex]
+    indices: list[Hashable]
     points: list[np.ndarray]
 
     def __post_init__(self):
@@ -102,7 +106,7 @@ def evaluate_batch(
     failed = set() if failed is None else failed
     start = time.perf_counter()
 
-    todo: dict[MultiIndex, np.ndarray] = {}
+    todo: dict[Hashable, np.ndarray] = {}
     served_from_cache = 0
     for idx, point in zip(request.indices, request.points):
         if idx in cache:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import hashlib
+import math
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -73,8 +74,8 @@ class BlackBoxObjective:
 
 def with_latency(obj: BlackBoxObjective, delay_s: float) -> BlackBoxObjective:
     """Copy of ``obj`` whose every evaluation takes at least ``delay_s``."""
-    if delay_s < 0:
-        raise ValueError("delay_s must be >= 0")
+    if not 0 <= delay_s < math.inf:
+        raise ValueError("delay_s must be a finite number >= 0")
     return dataclasses.replace(obj, latency_s=float(delay_s))
 
 
@@ -82,10 +83,13 @@ def seeded_failure_model(rate: float, seed: int) -> Callable[[np.ndarray], bool]
     """Deterministic predicate failing a ``rate`` fraction of points.
 
     The decision depends only on (seed, point bytes), so repeated runs fail
-    at exactly the same points.
+    at exactly the same points.  ``seed`` is an ``int`` in ``[0, 2**64)``:
+    it keys the hash as eight bytes.
     """
     if not 0 <= rate <= 1:
         raise ValueError("rate must lie in [0, 1]")
+    if not isinstance(seed, int) or not 0 <= seed < 2**64:
+        raise ValueError("seed must be an int in [0, 2**64)")
 
     def fails(x: np.ndarray) -> bool:
         digest = hashlib.blake2b(

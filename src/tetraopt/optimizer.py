@@ -11,13 +11,14 @@ The incumbent is the best value over every point the passes touched.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .cross import cross_requests
+from .cross import IndexBatch, IndexCache, cross_requests
 from .cross import tt_cross  # noqa: F401  -- bench/layers.py patches this name
 from .harness import BatchRequest, evaluate_batch
 from .objectives import BlackBoxObjective
@@ -42,6 +43,8 @@ class SearchGrid:
         parsed = []
         for pos, dim in enumerate(dims):
             lower, upper, points = float(dim[0]), float(dim[1]), int(dim[2])
+            if not (math.isfinite(lower) and math.isfinite(upper)):
+                raise ValueError(f"dimension {pos}: bounds must be finite")
             if points < 1:
                 raise ValueError(f"dimension {pos}: points must be >= 1")
             if points > 1 and not lower < upper:
@@ -134,38 +137,40 @@ class _IncumbentTracker:
     """Streaming minimum over sampled grid points, with deterministic ties.
 
     Failed evaluations never become incumbents; among equal values the
-    lexicographically smallest multi-index wins, so the final incumbent
-    does not depend on the order in which points arrive.  Every batch that
-    changes the incumbent, by value or by a tie on a smaller index, records
-    one trace event.
+    lexicographically smallest multi-index wins (packed keys compare like
+    the indices they encode), so the final incumbent does not depend on the
+    order in which points arrive.  Every batch that changes the incumbent,
+    by value or by a tie on a smaller index, records one trace event.
     """
 
     grid: SearchGrid
     trace: OptimizationTrace
     started_at: float
     best_value: float = float("inf")
-    best_index: MultiIndex | None = None
+    best_key: bytes | None = None
 
-    def absorb(self, indices, values, failures, calls: int) -> None:
-        """Take in one batch but its ``failures``; ``calls`` is the unique-call count after it."""
-        changed = False
-        skip = set(failures)
-        for pos, (idx, value) in enumerate(zip(indices, values)):
-            if pos in skip:
-                continue
-            if value < self.best_value or (
-                value == self.best_value
-                and (self.best_index is None or idx < self.best_index)
-            ):
-                self.best_value = value
-                self.best_index = idx
-                changed = True
-        if changed:
+    def absorb(self, keys, rows, values, failures, calls: int) -> None:
+        """Take in one batch but its ``failures``; ``calls`` is the unique-call count after it.
+
+        ``keys`` are the packed keys of the index array ``rows``.
+        """
+        healthy = np.delete(np.arange(len(keys)), failures)
+        if not healthy.size:
+            return
+        values = np.asarray(values, dtype=np.float64)
+        lowest = values[healthy].min()
+        pos = min(healthy[values[healthy] == lowest].tolist(), key=keys.__getitem__)
+        value = float(values[pos])
+        if value < self.best_value or (
+            value == self.best_value and (self.best_key is None or keys[pos] < self.best_key)
+        ):
+            self.best_value = value
+            self.best_key = keys[pos]
             self.trace.record(
                 calls,
                 time.perf_counter() - self.started_at,
                 self.best_value,
-                grid_point(self.grid, self.best_index),
+                grid_point(self.grid, tuple(rows[pos].tolist())),
             )
 
 
@@ -178,12 +183,13 @@ def tetraopt_minimize(
     """Optimize a black-box objective over a uniform grid.
 
     Runs ``config.iterations`` cross-interpolation passes with rank
-    ``config.rank`` in lockstep, one :func:`evaluate_batch` call per round
-    for the merged cache misses of all passes.  The points sampled, and so
-    the result, are those of running the passes one after another.  All
-    sampled grid points feed the incumbent; the trace records one event per
-    round that changes it, timestamped at the round's completion, with the
-    unique-call count after that round.  With ``minimize=False`` the negated
+    ``config.rank`` in lockstep over one :class:`~tetraopt.cross.IndexCache`,
+    one :func:`evaluate_batch` call per round for the merged cache misses of
+    all passes; the request's ``indices`` are the points' packed keys.  The
+    points sampled, and so the result, are those of running the passes one
+    after another.  All sampled grid points feed the incumbent; the trace
+    records one event per round that changes it, timestamped at the round's
+    completion, with the unique-call count after that round.  With ``minimize=False`` the negated
     objective is minimized and the trace reports the original sign.
     """
     grid = config.grid
@@ -196,7 +202,7 @@ def tetraopt_minimize(
     started_at = time.perf_counter()
     trace = OptimizationTrace()
     tracker = _IncumbentTracker(grid=grid, trace=trace, started_at=started_at)
-    cache: dict[MultiIndex, float] = {}
+    cache = IndexCache()
 
     pass_seeds = np.random.default_rng(config.seed).integers(0, 2**63, size=config.iterations)
     passes = [
@@ -206,19 +212,19 @@ def tetraopt_minimize(
     pending = [(p, misses) for p in passes if (misses := next(p, None)) is not None]
     rounds = 0
     while pending:
-        indices = list(dict.fromkeys(idx for _, misses in pending for idx in misses))
-        request = BatchRequest(batch_id=rounds, indices=indices, points=list(grid.points(indices)))
+        keys, rows = _merged([misses for _, misses in pending])
+        request = BatchRequest(batch_id=rounds, indices=keys, points=list(grid.points(rows)))
         rounds += 1
         result = evaluate_batch(objective, request, max_parallel)
         values = [sign * v for v in result.values]
         # Cache the whole round before resuming any pass; a pass resumed
         # earlier would otherwise re-request points a later pass received.
-        cache.update(zip(indices, values))
-        tracker.absorb(indices, values, result.failures, len(cache))
+        cache.store(keys, rows, values)
+        tracker.absorb(keys, rows, values, result.failures, len(cache))
         pending = [
             (p, misses)
             for p, asked in pending
-            if (misses := _resume(p, [cache[idx] for idx in asked])) is not None
+            if (misses := _resume(p, list(map(cache.__getitem__, asked.keys)))) is not None
         ]
 
     trace.total_calls = len(cache)
@@ -234,6 +240,18 @@ def tetraopt_minimize(
             for event in trace.events
         ]
     return trace
+
+
+def _merged(batches: list[IndexBatch]) -> tuple[list[bytes], np.ndarray]:
+    """Keys and index rows of several batches, each key once, at its first occurrence."""
+    keys = [key for batch in batches for key in batch.keys]
+    rows = np.concatenate([batch.array for batch in batches])
+    unique = list(dict.fromkeys(keys))
+    if len(unique) < len(keys):
+        # Filled back to front, each key ends up with its first position.
+        first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
+        rows = rows[[first[key] for key in unique]]
+    return unique, rows
 
 
 def _resume(requests, values):

@@ -226,3 +226,22 @@ class TestLatencyAndFailures:
     def test_dimension_check(self):
         with pytest.raises(ValueError, match="expected a 2-vector"):
             benchmark("quadratic", 2).evaluate([1.0])
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, 7.0])
+def test_failure_model_rejects_bad_seed(seed):
+    # Such a seed cannot key the hash, so every evaluation would raise and
+    # count as a failure.
+    with pytest.raises(ValueError, match="seed"):
+        seeded_failure_model(0.1, seed)
+
+
+def test_failure_model_accepts_seed_extremes():
+    for seed in (0, 2**64 - 1):
+        assert seeded_failure_model(1.0, seed)(np.zeros(2))
+
+
+@pytest.mark.parametrize("delay", [float("inf"), float("nan")])
+def test_non_finite_delay_rejected(delay):
+    with pytest.raises(ValueError, match="delay_s"):
+        with_latency(benchmark("quadratic", 1), delay)

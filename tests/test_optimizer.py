@@ -506,3 +506,11 @@ class TestTraceCsv:
 
         with pytest.raises(ValueError):
             OptimizationTrace().write_csv(tmp_path / "x.csv")
+
+
+@pytest.mark.parametrize(
+    "dim", [(0.0, float("inf"), 3), (float("-inf"), 0.0, 3), (float("nan"), 1.0, 3), (0.0, float("nan"), 1)]
+)
+def test_grid_rejects_non_finite_bounds(dim):
+    with pytest.raises(ValueError, match="finite"):
+        SearchGrid([(0.0, 1.0, 2), dim])
