@@ -9,6 +9,7 @@ iteration; the loop is sequential by nature.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -31,15 +32,64 @@ class Kernel:
     signal_variance: float = 1.0
 
     def __post_init__(self):
-        if self.length_scale <= 0 or self.signal_variance <= 0:
-            raise ValueError("kernel hyperparameters must be positive")
+        if not (0 < self.length_scale < math.inf and 0 < self.signal_variance < math.inf):
+            raise ValueError("kernel hyperparameters must be positive and finite")
 
     def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Covariance matrix between the rows of ``a`` and ``b``."""
-        diff = a[:, None, :] - b[None, :, :]
-        dist = np.sqrt(np.sum(diff**2, axis=-1))
-        s = np.sqrt(5.0) * dist / self.length_scale
-        return self.signal_variance * (1.0 + s + s**2 / 3.0) * np.exp(-s)
+        a = np.asarray(a, dtype=np.float64)
+        b = np.asarray(b, dtype=np.float64)
+        squared = _squared_distances(a.T[:, :, None], b.T, 0, a.shape[1])
+        s = np.sqrt(squared, out=np.empty((len(a), len(b))))
+        s *= np.sqrt(5.0)
+        s /= self.length_scale
+        # signal_variance * (1 + s + s**2 / 3) * exp(-s), rounded step by step
+        # as that expression is, but in two buffers, not one per operation.
+        poly = s + 1.0
+        square = np.multiply(s, s)
+        square /= 3.0
+        poly += square
+        poly *= self.signal_variance
+        poly *= np.exp(np.negative(s, out=s), out=s)
+        return poly
+
+
+# numpy's pairwise summation (PW_BLOCKSIZE): longer runs are split in two.
+_PAIRWISE_BLOCK = 128
+
+
+def _squared_distances(a_cols: np.ndarray, b_rows: np.ndarray, start: int, count: int):
+    """``np.sum((a[:, None] - b[None]) ** 2, axis=-1)`` over ``count``
+    coordinates from ``start``, bit for bit.
+
+    ``a_cols`` is ``a.T[:, :, None]`` and ``b_rows`` is ``b.T``.  The terms
+    are added into ``(n, m)`` arrays one coordinate at a time, in the order
+    numpy's pairwise summation adds them, so no ``(n, m, d)`` temporary is
+    built.  With no coordinates the sum is the scalar 0.0.
+    """
+    if count > _PAIRWISE_BLOCK:
+        half = count // 2 - (count // 2) % 8
+        return _squared_distances(a_cols, b_rows, start, half) + _squared_distances(
+            a_cols, b_rows, start + half, count - half
+        )
+    # Eight interleaved partial sums over the largest multiple of 8 terms,
+    # combined as a tree, then the rest one by one.  Below 8 terms every
+    # partial sum is empty and the terms are added one after another.
+    whole = count - count % 8
+    r = [0.0] * 8
+    for i in range(whole):
+        r[i % 8] = _plus_square(r[i % 8], a_cols[start + i], b_rows[start + i])
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for k in range(start + whole, start + count):
+        total = _plus_square(total, a_cols[k], b_rows[k])
+    return total
+
+
+def _plus_square(total, a_col: np.ndarray, b_row: np.ndarray) -> np.ndarray:
+    # ``total`` starts as 0.0, and 0.0 + t == t exactly for a square t:
+    # numpy starts each partial sum at its first term instead.
+    term = a_col - b_row
+    return np.add(total, np.multiply(term, term, out=term), out=term)
 
 
 @dataclass
@@ -72,8 +122,8 @@ def gp_fit(x, y, kernel: Kernel | None = None, noise_variance: float = DEFAULT_N
         raise ValueError("need matching, nonempty observations")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("observations must be finite")
-    if noise_variance < 0:
-        raise ValueError("noise_variance must be >= 0")
+    if not 0 <= noise_variance < math.inf:
+        raise ValueError("noise_variance must be a finite number >= 0")
     kernel = kernel or Kernel()
     # Imported here, not at module level: only the GP baseline needs scipy,
     # and loading it would otherwise be paid by every ``import tetraopt``.
@@ -112,22 +162,29 @@ def gp_fit(x, y, kernel: Kernel | None = None, noise_variance: float = DEFAULT_N
 
 
 def _predict_many(model: GaussianProcessModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    from scipy.linalg import cho_solve
+    # LAPACK's potrs, called as cho_solve calls it but without its finiteness
+    # checks and batch wrapper: the kernel and the fitted model are checked
+    # when built, and gp_predict and propose_next check what comes out.
+    from scipy.linalg.lapack import dpotrs
 
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     k_star = model.kernel(x, model.observed_x)
     mean = k_star @ model._alpha
-    v = cho_solve(model._chol, k_star.T)
+    v, info = dpotrs(model._chol[0], k_star.T, lower=model._chol[1])
+    if info != 0:
+        raise ValueError(f"illegal value in argument {-info} of potrs")
     # Latent posterior variance, clamped: exact zeros come out as tiny
     # negatives in floating point.
-    var = model.kernel.signal_variance - np.sum(k_star * v.T, axis=1)
-    std = np.sqrt(np.clip(var, 0.0, None))
+    var = model.kernel.signal_variance - np.add.reduce(np.multiply(k_star, v.T, out=v.T), axis=1)
+    std = np.sqrt(np.maximum(var, 0.0))
     return model.y_shift + model.y_scale * mean, model.y_scale * std
 
 
 def gp_predict(model: GaussianProcessModel, x) -> tuple[float, float]:
     """Posterior mean and standard deviation at a single point."""
     mean, std = _predict_many(model, np.asarray(x, dtype=np.float64).reshape(1, -1))
+    if not (math.isfinite(mean[0]) and math.isfinite(std[0])):
+        raise ValueError("posterior is not finite at this point: the query is not finite or too far")
     return float(mean[0]), float(std[0])
 
 
@@ -152,16 +209,20 @@ def propose_next(model: GaussianProcessModel, bounds, kappa: float, seed: int) -
     candidates = lows + rng.random((2048, len(bounds))) * widths
     mean, std = _predict_many(model, candidates)
     scores = mean + kappa * std
-    best = candidates[int(np.argmax(scores))].copy()
-    best_score = float(np.max(scores))
+    top = int(np.argmax(scores))  # the first NaN, if there is one
+    best = candidates[top].copy()
+    best_score = float(scores[top])
+    if not math.isfinite(best_score):
+        raise ValueError("acquisition is not finite: non-finite kappa or bounds, or bounds too wide")
 
     step = widths / 8.0
     for _ in range(3):
-        for axis in range(len(bounds)):
+        for axis, (lo, hi) in enumerate(bounds):
             for direction in (-1.0, 1.0):
                 trial = best.copy()
-                trial[axis] = np.clip(trial[axis] + direction * step[axis], lows[axis], highs[axis])
-                mean, std = _predict_many(model, trial.reshape(1, -1))
+                # The builtins clip exactly as np.clip does on non-NaN floats.
+                trial[axis] = min(max(best[axis] + direction * step[axis], lo), hi)
+                mean, std = _predict_many(model, trial[None])
                 score = float(mean[0] + kappa * std[0])
                 if score > best_score:
                     best_score = score
@@ -187,11 +248,15 @@ class BayesConfig:
             raise ValueError("n_initial must be >= 1")
         if self.n_iterations < 0:
             raise ValueError("n_iterations must be >= 0")
-        if self.kappa < 0:
-            raise ValueError("kappa must be >= 0")
-        object.__setattr__(
-            self, "bounds", tuple((float(lo), float(hi)) for lo, hi in self.bounds)
-        )
+        if not 0 <= self.kappa < math.inf:
+            raise ValueError("kappa must be a finite number >= 0")
+        if not 0 <= self.noise_variance < math.inf:
+            raise ValueError("noise_variance must be a finite number >= 0")
+        bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
+        # lo == hi fixes an axis; lo > hi or a non-finite bound is a mistake.
+        if not all(-math.inf < lo <= hi < math.inf for lo, hi in bounds):
+            raise ValueError("bounds must be finite (lo, hi) pairs with lo <= hi")
+        object.__setattr__(self, "bounds", bounds)
 
 
 def bayes_minimize(objective: BlackBoxObjective, config: BayesConfig) -> OptimizationTrace:
@@ -212,20 +277,16 @@ def bayes_minimize(objective: BlackBoxObjective, config: BayesConfig) -> Optimiz
     lows = np.array([lo for lo, _ in bounds])
     highs = np.array([hi for _, hi in bounds])
     widths = highs - lows
-    degenerate_axes = widths <= 0
-
-    def normalize(p: np.ndarray) -> np.ndarray:
-        u = np.zeros_like(p)
-        live = ~degenerate_axes
-        u[live] = (p[live] - lows[live]) / widths[live]
-        return u
+    # A fixed axis (lo == hi) keeps every point at lo, so it normalizes to 0.
+    spans = np.where(widths > 0, widths, 1.0)
+    # Unit-cube coordinates of every evaluated point, one row per call.
+    unit_x = np.empty((config.n_initial + config.n_iterations, len(bounds)))
 
     rng = np.random.default_rng(config.seed)
     seeds = rng.integers(0, 2**63, size=config.n_iterations)
 
     started_at = time.perf_counter()
     trace = OptimizationTrace()
-    xs: list[np.ndarray] = []
     raw: list[float] = []
     ok: list[bool] = []
     best = float("inf")
@@ -234,7 +295,7 @@ def bayes_minimize(objective: BlackBoxObjective, config: BayesConfig) -> Optimiz
     def observe(point: np.ndarray) -> None:
         nonlocal best, best_point
         value, failed = evaluate_point(objective, point)
-        xs.append(point)
+        unit_x[len(raw)] = (point - lows) / spans
         raw.append(value)
         ok.append(not failed)
         if not failed and value < best:
@@ -242,13 +303,13 @@ def bayes_minimize(objective: BlackBoxObjective, config: BayesConfig) -> Optimiz
             best_point = point
         # One trace row per evaluation: the incumbent curve is step-shaped.
         if best_point is not None:
-            trace.record(len(xs), time.perf_counter() - started_at, best, best_point)
+            trace.record(len(raw), time.perf_counter() - started_at, best, best_point)
 
     for _ in range(config.n_initial):
         observe(lows + rng.random(len(bounds)) * widths)
 
     for iteration in range(config.n_iterations):
-        train_x = np.array([normalize(p) for p in xs])
+        train_x = unit_x[: len(raw)]
         # Failed points enter the surrogate at the worst observed value so the
         # acquisition avoids them without the penalty wrecking standardization.
         finite = [v for v, good in zip(raw, ok) if good]
@@ -262,11 +323,11 @@ def bayes_minimize(objective: BlackBoxObjective, config: BayesConfig) -> Optimiz
             int(seeds[iteration]),
         )
         candidate = lows + unit * widths
-        if xs and min(float(np.max(np.abs(normalize(p) - unit))) for p in xs) < 1e-12:
+        if np.min(np.max(np.abs(train_x - unit), axis=1)) < 1e-12:
             # Repeated proposal: nudge by one part in 1e6 of the box.
-            candidate = np.minimum(candidate + 1e-6 * np.where(widths > 0, widths, 1.0), highs)
+            candidate = np.minimum(candidate + 1e-6 * spans, highs)
         observe(candidate)
 
-    trace.total_calls = len(xs)
+    trace.total_calls = len(raw)
     trace.total_runtime_s = time.perf_counter() - started_at
     return trace
