@@ -409,7 +409,6 @@ def tt_cross(
     (TensorTrain, SampleLog)
         The interpolant and the log of every requested index.
     """
-    cache = IndexCache() if cache is None else cache
     log = SampleLog() if log is None else log
     requests = cross_requests(shape, rank, sweeps, seed, cache=cache, log=log)
     values = None

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .harness import evaluate_point
-from .objectives import BlackBoxObjective
+from .objectives import BlackBoxObjective, whole_number
 from .trace import OptimizationTrace
 
 DEFAULT_LENGTH_SCALE = 0.25
@@ -244,10 +244,8 @@ class BayesConfig:
     noise_variance: float = DEFAULT_NOISE_VARIANCE
 
     def __post_init__(self):
-        if self.n_initial < 1:
-            raise ValueError("n_initial must be >= 1")
-        if self.n_iterations < 0:
-            raise ValueError("n_iterations must be >= 0")
+        for name, least in (("n_initial", 1), ("n_iterations", 0), ("seed", 0)):
+            object.__setattr__(self, name, whole_number(name, getattr(self, name), least))
         if not 0 <= self.kappa < math.inf:
             raise ValueError("kappa must be a finite number >= 0")
         if not 0 <= self.noise_variance < math.inf:

@@ -97,9 +97,10 @@ def evaluate_batch(
 
     The objective runs once per distinct index, through :func:`evaluate_point`;
     duplicates within the batch and indices present in ``cache`` are served
-    from memory.  Failed indices are added to ``failed`` when given, and
-    ``failures`` lists the positions whose index is in it.  The returned
-    values do not depend on the order in which workers finish.
+    from memory, and every new value is written into ``cache``.  Failed
+    indices are added to ``failed`` when given, and ``failures`` lists the
+    positions whose index is in it.  The returned values do not depend on the
+    order in which workers finish.
     """
     workers = effective_parallelism(max_parallel)
     cache = {} if cache is None else cache

@@ -11,6 +11,7 @@ import csv
 import dataclasses
 import hashlib
 import math
+import operator
 import time
 from dataclasses import dataclass
 from typing import Callable
@@ -38,6 +39,21 @@ def real_value(value) -> float:
     if isinstance(value, (str, bytes, bytearray)):
         raise TypeError(f"expected a real number, got {type(value).__name__}")
     return float(value)
+
+
+def whole_number(name: str, value, least: int) -> int:
+    """``operator.index(value)``, so numpy integers pass too.
+
+    Raises ``ValueError`` naming ``name`` for a bool, a value that is not an
+    integer, or one below ``least``.
+    """
+    try:
+        number = operator.index(value)
+    except TypeError:
+        number = None
+    if number is None or isinstance(value, bool) or number < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    return number
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,10 @@
 
 The optimizer lays a uniform grid over the search box and runs
 ``iterations`` cross-interpolation passes against the objective (fresh
-random index sets each time, one shared evaluation cache).  The passes run
+random index sets each time, one evaluation cache per run).  The passes run
 in lockstep: each round merges the cache misses of every live pass into one
-batch, evaluates it, caches the values, and only then resumes the passes.
-The incumbent is the best value over every point the passes touched.
+batch, which the harness evaluates into the run's cache before any pass
+resumes.  The incumbent is the best value over every point the passes touched.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -21,8 +21,8 @@ import numpy as np
 from .cross import IndexBatch, IndexCache, cross_requests
 from .cross import tt_cross  # noqa: F401  -- bench/layers.py patches this name
 from .harness import BatchRequest, evaluate_batch
-from .objectives import BlackBoxObjective
-from .trace import OptimizationTrace, TraceEvent
+from .objectives import BlackBoxObjective, real_value, whole_number
+from .trace import OptimizationTrace
 from .tt import MultiIndex
 
 
@@ -42,11 +42,10 @@ class SearchGrid:
     def __init__(self, dims: Sequence[Sequence]):
         parsed = []
         for pos, dim in enumerate(dims):
-            lower, upper, points = float(dim[0]), float(dim[1]), int(dim[2])
+            lower, upper = float(dim[0]), float(dim[1])
+            points = whole_number(f"dimension {pos}: points", dim[2], 1)
             if not (math.isfinite(lower) and math.isfinite(upper)):
                 raise ValueError(f"dimension {pos}: bounds must be finite")
-            if points < 1:
-                raise ValueError(f"dimension {pos}: points must be >= 1")
             if points > 1 and not lower < upper:
                 raise ValueError(f"dimension {pos}: need lower < upper")
             parsed.append((lower, upper, points))
@@ -126,10 +125,8 @@ class TetraOptConfig:
     minimize: bool = True
 
     def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
-        if self.iterations < 1:
-            raise ValueError("iterations must be >= 1")
+        for name, least in (("rank", 1), ("iterations", 1), ("seed", 0)):
+            object.__setattr__(self, name, whole_number(name, getattr(self, name), least))
 
 
 @dataclass
@@ -183,21 +180,23 @@ def tetraopt_minimize(
     """Optimize a black-box objective over a uniform grid.
 
     Runs ``config.iterations`` cross-interpolation passes with rank
-    ``config.rank`` in lockstep over one :class:`~tetraopt.cross.IndexCache`,
-    one :func:`evaluate_batch` call per round for the merged cache misses of
-    all passes; the request's ``indices`` are the points' packed keys.  The
-    points sampled, and so the result, are those of running the passes one
-    after another.  All sampled grid points feed the incumbent; the trace
-    records one event per round that changes it, timestamped at the round's
-    completion, with the unique-call count after that round.  With ``minimize=False`` the negated
-    objective is minimized and the trace reports the original sign.
+    ``config.rank`` in lockstep: each round makes one :func:`evaluate_batch`
+    call for the merged cache misses of all passes, which the harness writes
+    into the run's one :class:`~tetraopt.cross.IndexCache`.  The points
+    sampled, and so the result, are those of running the passes one after
+    another.  All sampled grid points feed the incumbent; the trace records
+    one event per round that changes it, timestamped at the round's
+    completion, with the unique-call count after that round.  With
+    ``minimize=False`` the negated objective is minimized, failures
+    included, and the trace reports the original sign.
     """
     grid = config.grid
     if objective.dimension != grid.dimension:
         raise ValueError(
             f"objective dimension {objective.dimension} != grid dimension {grid.dimension}"
         )
-    sign = 1.0 if config.minimize else -1.0
+    if not config.minimize:
+        objective = _Negated(objective)
 
     started_at = time.perf_counter()
     trace = OptimizationTrace()
@@ -215,12 +214,10 @@ def tetraopt_minimize(
         keys, rows = _merged([misses for _, misses in pending])
         request = BatchRequest(batch_id=rounds, indices=keys, points=list(grid.points(rows)))
         rounds += 1
-        result = evaluate_batch(objective, request, max_parallel)
-        values = [sign * v for v in result.values]
-        # Cache the whole round before resuming any pass; a pass resumed
+        # The whole round is cached before any pass resumes; a pass resumed
         # earlier would otherwise re-request points a later pass received.
-        cache.store(keys, rows, values)
-        tracker.absorb(keys, rows, values, result.failures, len(cache))
+        result = evaluate_batch(objective, request, max_parallel, cache=cache)
+        tracker.absorb(keys, rows, result.values, result.failures, len(cache))
         pending = [
             (p, misses)
             for p, asked in pending
@@ -229,17 +226,19 @@ def tetraopt_minimize(
 
     trace.total_calls = len(cache)
     trace.total_runtime_s = time.perf_counter() - started_at
-    if not config.minimize and trace.events:
-        trace.events = [
-            TraceEvent(
-                event.unique_calls_so_far,
-                event.wall_time_s,
-                -event.best_value,
-                event.best_point,
-            )
-            for event in trace.events
-        ]
+    if not config.minimize:
+        trace.events = [replace(event, best_value=-event.best_value) for event in trace.events]
     return trace
+
+
+@dataclass(frozen=True)
+class _Negated:
+    """An objective with its sign flipped: maximizing runs minimize this."""
+
+    objective: BlackBoxObjective
+
+    def evaluate(self, x) -> float:
+        return -real_value(self.objective.evaluate(x))
 
 
 def _merged(batches: list[IndexBatch]) -> tuple[list[bytes], np.ndarray]:

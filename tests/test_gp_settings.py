@@ -24,6 +24,23 @@ def test_noise_variance_must_be_finite_and_nonnegative(noise_variance):
 
 
 @pytest.mark.parametrize(
+    "fields, name",
+    [({"n_initial": 2.5}, "n_initial"), ({"n_iterations": 3.0}, "n_iterations"),
+     ({"seed": -1}, "seed"), ({"seed": 1.5}, "seed"), ({"n_iterations": True}, "n_iterations")],
+    ids=["n_initial_float", "n_iterations_float", "seed_negative", "seed_float", "n_iterations_bool"],
+)
+def test_counts_and_seed_must_be_integers(fields, name):
+    with pytest.raises(ValueError, match=name):
+        BayesConfig(bounds=UNIT, **fields)
+
+
+def test_numpy_integer_counts_are_accepted():
+    config = BayesConfig(bounds=UNIT, n_initial=np.int64(3), n_iterations=np.int32(2), seed=np.uint16(7))
+    assert (config.n_initial, config.n_iterations, config.seed) == (3, 2, 7)
+    assert all(type(n) is int for n in (config.n_initial, config.n_iterations, config.seed))
+
+
+@pytest.mark.parametrize(
     "fields",
     [
         {"length_scale": math.nan},

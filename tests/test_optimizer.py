@@ -385,6 +385,28 @@ def test_maximizing_mirrors_minimizing_the_negation(run):
     assert [e.best_value for e in maximized.events] == [-e.best_value for e in minimized.events]
 
 
+@settings(max_examples=40, deadline=None)
+@given(run=random_runs, failure_seed=st.integers(0, 2**16))
+def test_maximizing_mirrors_minimizing_the_negation_under_failures(run, failure_seed):
+    dims, rank, iterations, seed, coef_seed = run
+    grid = SearchGrid(dims)
+    objective = dataclasses.replace(
+        _random_landscape(grid, coef_seed), failure_model=seeded_failure_model(0.2, failure_seed)
+    )
+    # Same failure model, so both runs fail at the same points.
+    negated = dataclasses.replace(objective, evaluator=lambda x: -objective.evaluator(x))
+    config = TetraOptConfig(grid=grid, rank=rank, iterations=iterations, seed=seed)
+    maximized = tetraopt_minimize(
+        objective, dataclasses.replace(config, minimize=False), max_parallel=1
+    )
+    minimized = tetraopt_minimize(negated, config, max_parallel=1)
+    assert maximized.total_calls == minimized.total_calls
+    assert [(e.unique_calls_so_far, e.best_point) for e in maximized.events] == [
+        (e.unique_calls_so_far, e.best_point) for e in minimized.events
+    ]
+    assert [e.best_value for e in maximized.events] == [-e.best_value for e in minimized.events]
+
+
 class _Recording:
     """Objective proxy that records every point it is asked to evaluate."""
 
@@ -490,6 +512,29 @@ class TestLockstepRounds:
             assert all(event.unique_calls_so_far in ends for event in trace.events)
 
 
+    @pytest.mark.parametrize("minimize", [True, False])
+    def test_one_cache_per_run(self, mixer_grid, monkeypatch, minimize):
+        caches = []
+        original = tetraopt.optimizer.evaluate_batch
+
+        def recorded(objective, request, *args, **kwargs):
+            caches.append(kwargs.get("cache"))
+            return original(objective, request, *args, **kwargs)
+
+        monkeypatch.setattr(tetraopt.optimizer, "evaluate_batch", recorded)
+        objective = dataclasses.replace(
+            mixer_objective(), failure_model=seeded_failure_model(0.2, 3)
+        )
+        trace = tetraopt_minimize(
+            objective,
+            TetraOptConfig(grid=mixer_grid, iterations=2, seed=1, minimize=minimize),
+            max_parallel=2,
+        )
+        assert caches and caches[0] is not None
+        assert all(cache is caches[0] for cache in caches)
+        assert len(caches[0]) == trace.total_calls
+
+
 class TestTraceCsv:
     def test_header_and_rows(self, tmp_path, mixer_grid):
         trace = tetraopt_minimize(
@@ -514,3 +559,28 @@ class TestTraceCsv:
 def test_grid_rejects_non_finite_bounds(dim):
     with pytest.raises(ValueError, match="finite"):
         SearchGrid([(0.0, 1.0, 2), dim])
+
+
+@pytest.mark.parametrize(
+    "fields, name",
+    [({"rank": 2.5}, "rank"), ({"iterations": 1.5}, "iterations"), ({"seed": -1}, "seed"),
+     ({"seed": 0.5}, "seed"), ({"rank": True}, "rank")],
+    ids=["rank_float", "iterations_float", "seed_negative", "seed_float", "rank_bool"],
+)
+def test_config_rejects_bad_counts_and_seeds(fields, name):
+    grid = SearchGrid([(0.0, 1.0, 3)])
+    with pytest.raises(ValueError, match=name):
+        TetraOptConfig(grid=grid, **fields)
+
+
+def test_config_accepts_numpy_integers():
+    grid = SearchGrid([(0.0, 1.0, np.int64(3))])
+    config = TetraOptConfig(grid=grid, rank=np.int32(2), iterations=np.int64(1), seed=np.uint8(4))
+    assert (grid.shape, config.rank, config.iterations, config.seed) == ((3,), 2, 1, 4)
+    assert all(type(n) is int for n in (grid.shape[0], config.rank, config.iterations, config.seed))
+
+
+@pytest.mark.parametrize("points", [5.5, 5.0, "5"], ids=["fraction", "float", "text"])
+def test_grid_rejects_non_integer_point_counts(points):
+    with pytest.raises(ValueError, match="dimension 1: points"):
+        SearchGrid([(0.0, 1.0, 2), (0.0, 1.0, points)])
