@@ -12,7 +12,6 @@ import argparse
 import contextlib
 import dataclasses
 import json
-import math
 import os
 import statistics
 import sys
@@ -20,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cross import tensor_oracle, tt_cross
+from .cross import IndexCache, tensor_oracle, tt_cross
 from .gp import BayesConfig, bayes_minimize
 from .harness import parallel_scaling_report
 from .objectives import (
@@ -28,7 +27,7 @@ from .objectives import (
     benchmark,
     mixer_objective,
     shifted_quadratic,
-    with_latency,
+    whole_number,
 )
 from .optimizer import SearchGrid, TetraOptConfig, tetraopt_minimize
 from .power import PowerConfig, tt_power_argmax
@@ -60,6 +59,18 @@ def _load_config(path) -> dict:
     return cfg
 
 
+@contextlib.contextmanager
+def _checked(context: str = ""):
+    """Report a library type's ``ValueError`` about a setting as a :class:`ConfigError`.
+
+    The library names the field; ``context`` says where in the config it is.
+    """
+    try:
+        yield
+    except ValueError as err:
+        raise ConfigError(f"{context}: {err}" if context else str(err)) from None
+
+
 def _check_keys(mapping: dict, context: str, required: tuple, optional: tuple) -> None:
     for key in required:
         if key not in mapping:
@@ -72,30 +83,6 @@ def _check_keys(mapping: dict, context: str, required: tuple, optional: tuple) -
             )
 
 
-def _as_positive_int(value, context: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ConfigError(f"{context}: expected a positive integer, got {value!r}")
-    return value
-
-
-def _as_nonnegative_int(value, context: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 0:
-        raise ConfigError(f"{context}: expected an integer >= 0, got {value!r}")
-    return value
-
-
-def _as_number(value, context: str) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ConfigError(f"{context}: expected a number, got {value!r}")
-    try:
-        number = float(value)
-    except OverflowError:  # an integer literal beyond float range
-        number = math.inf
-    if not math.isfinite(number):
-        raise ConfigError(f"{context}: expected a finite number, got {value!r}")
-    return number
-
-
 def _build_objective(spec, context: str = "objective") -> BlackBoxObjective:
     if not isinstance(spec, dict):
         raise ConfigError(f"{context}: expected an object")
@@ -104,47 +91,31 @@ def _build_objective(spec, context: str = "objective") -> BlackBoxObjective:
         optional=("dimension", "center", "bounds", "latency_s"),
     )
     name = spec["name"]
-    latency = _as_number(spec.get("latency_s", 0.0), f"{context}.latency_s")
-    if latency < 0:
-        raise ConfigError(f"{context}.latency_s: must be >= 0")
-
     if name == "mixer":
         _reject_unused(spec, context, name, ("dimension", "center"))
-        obj = mixer_objective()
     elif name in _BENCHMARK_NAMES:
         if name != "quadratic":
             _reject_unused(spec, context, name, ("center",))
         if "dimension" not in spec:
             raise ConfigError(f"{context}: missing required field 'dimension'")
-        dimension = _as_positive_int(spec["dimension"], f"{context}.dimension")
-        try:
-            if name == "quadratic" and "center" in spec:
-                if not isinstance(spec["center"], list) or len(spec["center"]) != dimension:
-                    raise ConfigError(f"{context}.center: expected a list of {dimension} numbers")
-                center = [_as_number(c, f"{context}.center") for c in spec["center"]]
-                bounds = None
-                if "bounds" in spec:
-                    bounds = _parse_bounds(spec["bounds"], f"{context}.bounds", dimension)
-                obj = shifted_quadratic(center, bounds)
-            else:
-                obj = benchmark(name, dimension)
-        except ValueError as err:
-            raise ConfigError(f"{context}: {err}")
     else:
         raise ConfigError(
             f"{context}.name: unknown objective {name!r} "
             f"(expected mixer or one of {list(_BENCHMARK_NAMES)})"
         )
+    for key in ("center", "bounds"):
+        if key in spec and not isinstance(spec[key], list):
+            raise ConfigError(f"{context}.{key}: expected a list")
 
-    if "bounds" in spec and not (name == "quadratic" and "center" in spec):
-        bounds = _parse_bounds(spec["bounds"], f"{context}.bounds", obj.dimension)
-        obj = BlackBoxObjective(
-            name=obj.name,
-            dimension=obj.dimension,
-            bounds=bounds,
-            evaluator=obj.evaluator,
+    with _checked(context):
+        obj = mixer_objective() if name == "mixer" else benchmark(name, spec["dimension"])
+        if "center" in spec:
+            if len(spec["center"]) != obj.dimension:
+                raise ConfigError(f"{context}.center: expected a list of {obj.dimension} numbers")
+            obj = shifted_quadratic(spec["center"])
+        return dataclasses.replace(
+            obj, **{key: spec[key] for key in ("bounds", "latency_s") if key in spec}
         )
-    return with_latency(obj, latency) if latency else obj
 
 
 def _reject_unused(spec: dict, context: str, name: str, keys: tuple) -> None:
@@ -153,122 +124,80 @@ def _reject_unused(spec: dict, context: str, name: str, keys: tuple) -> None:
             raise ConfigError(f"{context}.{key}: objective {name!r} does not use this field")
 
 
-def _parse_bounds(raw, context: str, dimension: int):
-    if not isinstance(raw, list) or len(raw) != dimension:
-        raise ConfigError(f"{context}: expected {dimension} [lower, upper] pairs")
-    bounds = []
-    for pos, pair in enumerate(raw):
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise ConfigError(f"{context}[{pos}]: expected [lower, upper]")
-        lo = _as_number(pair[0], f"{context}[{pos}][0]")
-        hi = _as_number(pair[1], f"{context}[{pos}][1]")
-        bounds.append((lo, hi))
-    return tuple(bounds)
-
-
-def _build_grid(cfg: dict, objective: BlackBoxObjective, context: str = "grid") -> SearchGrid:
+def _build_grid(cfg: dict, objective: BlackBoxObjective) -> SearchGrid:
     if "grid" not in cfg:
-        try:
+        with _checked("objective.bounds: no valid default grid"):
             return SearchGrid([(lo, hi, 5) for lo, hi in objective.bounds])
-        except ValueError as err:
-            raise ConfigError(f"objective.bounds: no valid default grid: {err}")
-    raw = cfg["grid"]
-    if not isinstance(raw, list) or len(raw) != objective.dimension:
+    if not isinstance(cfg["grid"], list) or len(cfg["grid"]) != objective.dimension:
         raise ConfigError(
-            f"{context}: expected {objective.dimension} [lower, upper, points] triples"
+            f"grid: expected {objective.dimension} [lower, upper, points] triples"
         )
-    dims = []
-    for pos, triple in enumerate(raw):
-        if not isinstance(triple, list) or len(triple) != 3:
-            raise ConfigError(f"{context}[{pos}]: expected [lower, upper, points]")
-        lo = _as_number(triple[0], f"{context}[{pos}][0]")
-        hi = _as_number(triple[1], f"{context}[{pos}][1]")
-        points = _as_positive_int(triple[2], f"{context}[{pos}][2]")
-        dims.append((lo, hi, points))
-    try:
-        return SearchGrid(dims)
-    except ValueError as err:
-        raise ConfigError(f"{context}: {err}")
+    with _checked("grid"):
+        return SearchGrid(cfg["grid"])
 
 
-def _parse_optimizer(spec, context: str) -> dict:
+_OPTIMIZER_FIELDS = {
+    "tetraopt": ("rank", "iterations"),
+    "bayes": ("n_initial", "n_iterations", "kappa"),
+}
+
+
+def _config_template(spec, grid: SearchGrid, context: str):
+    """The run configuration of optimizer ``spec`` on ``grid``, and ``spec``
+    with every default filled in; each run sets its own seed."""
     if not isinstance(spec, dict):
         raise ConfigError(f"{context}: expected an object")
     if "name" not in spec:
         raise ConfigError(f"{context}: missing required field 'name'")
     name = spec["name"]
-    if name == "tetraopt":
-        _check_keys(spec, context, required=("name",), optional=("rank", "iterations"))
-        return {
-            "name": "tetraopt",
-            "rank": _as_positive_int(spec.get("rank", 4), f"{context}.rank"),
-            "iterations": _as_positive_int(
-                spec.get("iterations", 2), f"{context}.iterations"
-            ),
-        }
-    if name == "bayes":
-        _check_keys(
-            spec, context, required=("name",),
-            optional=("n_initial", "n_iterations", "kappa"),
-        )
-        return {
-            "name": "bayes",
-            "n_initial": _as_positive_int(spec.get("n_initial", 5), f"{context}.n_initial"),
-            "n_iterations": _as_nonnegative_int(
-                spec.get("n_iterations", 30), f"{context}.n_iterations"
-            ),
-            "kappa": _as_number(spec.get("kappa", 2.576), f"{context}.kappa"),
-        }
-    raise ConfigError(f"{context}.name: unknown optimizer {name!r} (tetraopt | bayes)")
+    if not isinstance(name, str) or name not in _OPTIMIZER_FIELDS:
+        raise ConfigError(f"{context}.name: unknown optimizer {name!r} (tetraopt | bayes)")
+    fields = _OPTIMIZER_FIELDS[name]
+    _check_keys(spec, context, required=("name",), optional=fields)
+    settings = {key: spec[key] for key in fields if key in spec}
+    with _checked(context):
+        if name == "tetraopt":
+            template = TetraOptConfig(grid=grid, **settings)
+        else:
+            template = BayesConfig(bounds=grid.bounds, **settings)
+    return template, {"name": name, **{key: getattr(template, key) for key in fields}}
 
 
 def _parse_seeds(cfg: dict, override: str | None) -> list[int]:
+    context, seeds = "seeds", cfg.get("seeds", list(range(10)))
     if override is not None:
+        context = "--seed"
         try:
             seeds = [int(chunk) for chunk in override.split(",") if chunk.strip() != ""]
         except ValueError:
             raise ConfigError(f"--seed: expected comma-separated integers, got {override!r}")
-        return [_as_nonnegative_int(seed, "--seed") for seed in seeds]
-    raw = cfg.get("seeds", list(range(10)))
-    if not isinstance(raw, list) or not raw:
+    elif not isinstance(seeds, list) or not seeds:
         raise ConfigError("seeds: expected a nonempty list of integers")
-    return [_as_nonnegative_int(seed, "seeds") for seed in raw]
+    with _checked(context):
+        return [whole_number("seed", seed, 0) for seed in seeds]
 
 
 def _resolve_parallel(cfg: dict, flag: int | None) -> int | None:
     if flag is not None:
-        if flag < 1:
-            raise ConfigError("--parallel: must be >= 1")
-        return flag
-    env = os.environ.get(PARALLEL_ENV_VAR)
-    if env is not None:
+        source, value = "--parallel", flag
+    elif PARALLEL_ENV_VAR in os.environ:
+        source, env = PARALLEL_ENV_VAR, os.environ[PARALLEL_ENV_VAR]
         try:
             value = int(env)
         except ValueError:
             raise ConfigError(f"{PARALLEL_ENV_VAR}: expected an integer, got {env!r}")
-        if value < 1:
-            raise ConfigError(f"{PARALLEL_ENV_VAR}: must be >= 1")
-        return value
-    if "parallel" in cfg:
-        return _as_positive_int(cfg["parallel"], "parallel")
-    return None
+    elif "parallel" in cfg:
+        source, value = "parallel", cfg["parallel"]
+    else:
+        return None
+    with _checked():
+        return whole_number(source, value, 1)
 
 
 def _out_dir(cfg: dict, flag: str | None) -> Path:
     out = Path(flag if flag is not None else cfg.get("out", "out"))
     out.mkdir(parents=True, exist_ok=True)
     return out
-
-
-def _config_template(grid, opt: dict, context: str):
-    """The run configuration of ``opt`` on ``grid``; each run sets its own seed."""
-    fields = {key: value for key, value in opt.items() if key != "name"}
-    try:
-        if opt["name"] == "tetraopt":
-            return TetraOptConfig(grid=grid, **fields)
-        return BayesConfig(bounds=grid.bounds, **fields)
-    except ValueError as err:
-        raise ConfigError(f"{context}: {err}")
 
 
 def _run_one(objective, template, seed: int, parallel):
@@ -289,8 +218,7 @@ def cmd_optimize(cfg: dict, args) -> int:
     )
     objective = _build_objective(cfg["objective"])
     grid = _build_grid(cfg, objective)
-    opt = _parse_optimizer(cfg["optimizer"], "optimizer")
-    template = _config_template(grid, opt, "optimizer")
+    template, spec = _config_template(cfg["optimizer"], grid, "optimizer")
     seeds = _parse_seeds(cfg, args.seed)
     parallel = _resolve_parallel(cfg, args.parallel)
     out = _out_dir(cfg, args.out)
@@ -298,7 +226,7 @@ def cmd_optimize(cfg: dict, args) -> int:
     runs = []
     for seed in seeds:
         trace = _run_one(objective, template, seed, parallel)
-        path = out / f"trace_{opt['name']}_{seed}.csv"
+        path = out / f"trace_{spec['name']}_{seed}.csv"
         trace.write_csv(path)
         runs.append(
             {
@@ -311,13 +239,13 @@ def cmd_optimize(cfg: dict, args) -> int:
             }
         )
         print(
-            f"{opt['name']} seed={seed}: best={trace.best_value:.6g} "
+            f"{spec['name']} seed={seed}: best={trace.best_value:.6g} "
             f"calls={trace.total_calls} time={trace.total_runtime_s:.3f}s"
         )
 
     summary = {
         "objective": objective.name,
-        "optimizer": opt,
+        "optimizer": spec,
         "seeds": seeds,
         "runs": runs,
         "median_best_value": statistics.median(r["best_value"] for r in runs),
@@ -332,18 +260,8 @@ def _envelope_rows(label: str, traces: list, grid_times: np.ndarray):
     rows = []
     for t in grid_times:
         values = [trace.value_at(t) for trace in traces]
-        finite = [v for v in values if np.isfinite(v)]
-        if len(finite) != len(values):
-            continue
-        rows.append(
-            (
-                label,
-                t,
-                statistics.median(finite),
-                min(finite),
-                max(finite),
-            )
-        )
+        if np.all(np.isfinite(values)):
+            rows.append((label, t, statistics.median(values), min(values), max(values)))
     return rows
 
 
@@ -356,13 +274,10 @@ def cmd_compare(cfg: dict, args) -> int:
         raise ConfigError("optimizers: expected a list of exactly two optimizer specs")
     objective = _build_objective(cfg["objective"])
     grid = _build_grid(cfg, objective)
-    specs = [
-        _parse_optimizer(spec, f"optimizers[{pos}]")
+    templates, specs = zip(*(
+        _config_template(spec, grid, f"optimizers[{pos}]")
         for pos, spec in enumerate(cfg["optimizers"])
-    ]
-    templates = [
-        _config_template(grid, spec, f"optimizers[{pos}]") for pos, spec in enumerate(specs)
-    ]
+    ))
     labels = [spec["name"] for spec in specs]
     if labels[0] == labels[1]:
         labels = [f"{labels[0]}1", f"{labels[1]}2"]
@@ -444,11 +359,14 @@ def cmd_bench_parallel(cfg: dict, args) -> int:
     objective = _build_objective(cfg["objective"])
     if objective.latency_s <= 0:
         raise ConfigError("objective.latency_s: bench-parallel needs a latency objective")
-    batch_size = _as_positive_int(cfg["batch_size"], "batch_size")
     if not isinstance(cfg["levels"], list) or not cfg["levels"]:
         raise ConfigError("levels: expected a nonempty list of integers")
-    levels = [_as_positive_int(level, "levels") for level in cfg["levels"]]
-    seed = _as_nonnegative_int(cfg.get("seed", 0), "seed")
+    # parallel_scaling_report checks these too, but only once the output
+    # directory exists.
+    with _checked():
+        batch_size = whole_number("batch_size", cfg["batch_size"], 1)
+        levels = [whole_number("levels", level, 1) for level in cfg["levels"]]
+        seed = whole_number("seed", cfg.get("seed", 0), 0)
     out = _out_dir(cfg, args.out)
 
     rows = parallel_scaling_report(objective, batch_size, levels, seed=seed)
@@ -469,31 +387,26 @@ def cmd_cross_test(cfg: dict, args) -> int:
     )
     if not isinstance(cfg["shape"], list) or not cfg["shape"]:
         raise ConfigError("shape: expected a nonempty list of integers")
-    shape = [_as_positive_int(n, "shape") for n in cfg["shape"]]
-    generator_rank = _as_positive_int(cfg["generator_rank"], "generator_rank")
-    rank = _as_positive_int(cfg["rank"], "rank")
-    sweeps = _as_positive_int(cfg["sweeps"], "sweeps")
-    probes = _as_positive_int(cfg.get("probes", 1000), "probes")
+    # The cross checks rank and sweeps too, but only once the output
+    # directory exists.
+    with _checked():
+        shape = [whole_number("shape", n, 1) for n in cfg["shape"]]
+        generator_rank = whole_number("generator_rank", cfg["generator_rank"], 1)
+        rank = whole_number("rank", cfg["rank"], 1)
+        sweeps = whole_number("sweeps", cfg["sweeps"], 1)
+        probes = whole_number("probes", cfg.get("probes", 1000), 1)
     save = cfg.get("save_tt", False)
     if not isinstance(save, bool):
         raise ConfigError(f"save_tt: expected true or false, got {save!r}")
     seeds = _parse_seeds(cfg, args.seed)
-    out = _out_dir(cfg, args.out)
-
     power_cfg = None
     if "power" in cfg:
-        spec = cfg["power"]
-        if not isinstance(spec, dict):
+        if not isinstance(cfg["power"], dict):
             raise ConfigError("power: expected an object")
-        _check_keys(spec, "power", required=(), optional=("steps", "max_rank", "rel_tol"))
-        try:
-            power_cfg = PowerConfig(
-                steps=_as_positive_int(spec.get("steps", 8), "power.steps"),
-                max_rank=_as_positive_int(spec.get("max_rank", 16), "power.max_rank"),
-                rel_tol=_as_number(spec.get("rel_tol", 0.0), "power.rel_tol"),
-            )
-        except ValueError as err:
-            raise ConfigError(f"power: {err}")
+        _check_keys(cfg["power"], "power", required=(), optional=("steps", "max_rank", "rel_tol"))
+        with _checked("power"):
+            power_cfg = PowerConfig(**cfg["power"])
+    out = _out_dir(cfg, args.out)
 
     d = len(shape)
     budget = 2 * sweeps * d * max(shape) * rank * rank
@@ -508,7 +421,10 @@ def cmd_cross_test(cfg: dict, args) -> int:
         for seed in seeds:
             rng = np.random.default_rng(seed)
             source = TensorTrain.random(shape, generator_rank, rng)
-            approx, log = tt_cross(tensor_oracle(source), shape, rank, sweeps, seed)
+            sampled = IndexCache()
+            approx, log = tt_cross(
+                tensor_oracle(source), shape, rank, sweeps, seed, cache=sampled
+            )
             probe_idx = np.stack(
                 [rng.integers(0, n, size=probes) for n in shape], axis=1
             )
@@ -529,7 +445,7 @@ def cmd_cross_test(cfg: dict, args) -> int:
                 save_tt(approx, out / f"cross_tt_{seed}.tt")
             if power_cfg is not None:
                 idx, value = tt_power_argmax(approx, power_cfg, seed=seed)
-                cross_best = max(entry[1] for entry in log.entries)
+                cross_best = sampled.largest()[1]
                 power_fh.write(
                     f"{seed},{power_cfg.steps},{power_cfg.max_rank},"
                     f"\"{idx}\",{value:.17g},{cross_best:.17g}\n"

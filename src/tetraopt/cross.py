@@ -26,6 +26,7 @@ from typing import Callable, Generator
 import numpy as np
 
 from .maxvol import _COMPLETION_SEED, maxvol
+from .objectives import whole_number
 from .tt import MultiIndex, TensorTrain
 
 _ENUMERATION_CAP = 10_000
@@ -107,6 +108,11 @@ class IndexCache(dict):
 
     def store(self, keys: list[bytes], rows: np.ndarray, values: Sequence[float]) -> None:
         self.update(zip(keys, values))
+
+    def largest(self) -> tuple[bytes, float]:
+        """The largest value and its key; ties go to the smallest key, the smallest index."""
+        top = max(self.values())
+        return min(key for key, value in self.items() if value == top), top
 
 
 class _DictCache(IndexCache):
@@ -295,10 +301,8 @@ def cross_requests(
         raise ValueError(f"invalid tensor shape {shape}")
     if max(shape) >= _KEY_LIMIT:
         raise ValueError(f"mode sizes must be below {_KEY_LIMIT}")
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
-    if sweeps < 1:
-        raise ValueError("sweeps must be >= 1")
+    rank = whole_number("rank", rank, 1)
+    sweeps = whole_number("sweeps", sweeps, 1)
     if cache is None:
         cache = IndexCache()
     elif not isinstance(cache, IndexCache):

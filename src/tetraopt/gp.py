@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .harness import evaluate_point
-from .objectives import BlackBoxObjective, whole_number
+from .objectives import BlackBoxObjective, bound_pairs, finite_number, whole_number
 from .trace import OptimizationTrace
 
 DEFAULT_LENGTH_SCALE = 0.25
@@ -122,8 +122,7 @@ def gp_fit(x, y, kernel: Kernel | None = None, noise_variance: float = DEFAULT_N
         raise ValueError("need matching, nonempty observations")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
         raise ValueError("observations must be finite")
-    if not 0 <= noise_variance < math.inf:
-        raise ValueError("noise_variance must be a finite number >= 0")
+    noise_variance = finite_number("noise_variance", noise_variance, 0)
     kernel = kernel or Kernel()
     # Imported here, not at module level: only the GP baseline needs scipy,
     # and loading it would otherwise be paid by every ``import tetraopt``.
@@ -233,7 +232,14 @@ def propose_next(model: GaussianProcessModel, bounds, kappa: float, seed: int) -
 
 @dataclass(frozen=True)
 class BayesConfig:
-    """Driver settings; defaults match the reference comparison setup."""
+    """Driver settings; defaults match the reference comparison setup.
+
+    ``bounds`` holds finite ``(lower, upper)`` pairs with ``lower <= upper``
+    (equal ends fix an axis).  ``n_initial`` is an integer >= 1,
+    ``n_iterations`` and ``seed`` integers >= 0, and ``kappa`` and
+    ``noise_variance`` finite numbers >= 0.  Anything else raises a
+    ``ValueError`` naming the field.
+    """
 
     bounds: tuple[tuple[float, float], ...]
     n_initial: int = 5
@@ -246,15 +252,9 @@ class BayesConfig:
     def __post_init__(self):
         for name, least in (("n_initial", 1), ("n_iterations", 0), ("seed", 0)):
             object.__setattr__(self, name, whole_number(name, getattr(self, name), least))
-        if not 0 <= self.kappa < math.inf:
-            raise ValueError("kappa must be a finite number >= 0")
-        if not 0 <= self.noise_variance < math.inf:
-            raise ValueError("noise_variance must be a finite number >= 0")
-        bounds = tuple((float(lo), float(hi)) for lo, hi in self.bounds)
-        # lo == hi fixes an axis; lo > hi or a non-finite bound is a mistake.
-        if not all(-math.inf < lo <= hi < math.inf for lo, hi in bounds):
-            raise ValueError("bounds must be finite (lo, hi) pairs with lo <= hi")
-        object.__setattr__(self, "bounds", bounds)
+        for name in ("kappa", "noise_variance"):
+            object.__setattr__(self, name, finite_number(name, getattr(self, name), 0))
+        object.__setattr__(self, "bounds", bound_pairs("bounds", self.bounds))
 
 
 def bayes_minimize(objective: BlackBoxObjective, config: BayesConfig) -> OptimizationTrace:

@@ -23,18 +23,21 @@ from typing import Hashable
 
 import numpy as np
 
-from .objectives import real_value
+from .objectives import real_value, whole_number
 
 PENALTY_VALUE = 1e30
 
 
 def effective_parallelism(max_parallel: int | None) -> int:
+    """Worker count: ``max_parallel`` (an integer >= 1) clamped to the core count.
+
+    None means one worker per core; anything else that is not an integer
+    >= 1 raises a ``ValueError`` naming ``max_parallel``.
+    """
     cores = os.cpu_count() or 1
     if max_parallel is None:
         return cores
-    if max_parallel < 1:
-        raise ValueError("max_parallel must be >= 1")
-    return min(int(max_parallel), cores)
+    return min(whole_number("max_parallel", max_parallel, 1), cores)
 
 
 @dataclass
@@ -172,12 +175,14 @@ def parallel_scaling_report(
 
     Each level evaluates a fresh batch of ``batch_size`` seeded points (no
     cache reuse across levels) and reports ``wall_time / batch_size``.
+    ``batch_size`` and every level are integers >= 1 and ``seed`` an integer
+    >= 0; anything else raises a ``ValueError`` naming the field.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
-    if any(level < 1 for level in parallelism_levels):
-        raise ValueError("parallelism levels must be >= 1")
-    rng = np.random.default_rng(seed)
+    batch_size = whole_number("batch_size", batch_size, 1)
+    parallelism_levels = [
+        whole_number("parallelism_levels", level, 1) for level in parallelism_levels
+    ]
+    rng = np.random.default_rng(whole_number("seed", seed, 0))
     lows = np.array([b[0] for b in objective.bounds])
     highs = np.array([b[1] for b in objective.bounds])
     points = [lows + rng.random(objective.dimension) * (highs - lows) for _ in range(batch_size)]

@@ -11,6 +11,7 @@ import csv
 import dataclasses
 import hashlib
 import math
+import numbers
 import operator
 import time
 from dataclasses import dataclass
@@ -56,6 +57,45 @@ def whole_number(name: str, value, least: int) -> int:
     return number
 
 
+def finite_number(name: str, value, least: float = -math.inf) -> float:
+    """``float(value)`` for a real number, numpy's included.
+
+    Raises ``ValueError`` naming ``name`` for a bool, text or other
+    non-number, a NaN, an infinity (an integer beyond float range counts as
+    one), or a value below ``least``.
+    """
+    real = isinstance(value, numbers.Real) and not isinstance(value, bool)
+    try:
+        number = float(value) if real else math.nan
+    except OverflowError:
+        number = math.inf
+    if not (math.isfinite(number) and number >= least):
+        at_least = "" if least == -math.inf else f" >= {least:g}"
+        raise ValueError(f"{name} must be a finite number{at_least}, got {value!r}")
+    return number
+
+
+def bound_pairs(name: str, bounds) -> tuple[tuple[float, float], ...]:
+    """``bounds`` as ``(lower, upper)`` float pairs, each read by :func:`finite_number`.
+
+    Raises ``ValueError`` naming ``name`` for an item that is not a pair or
+    has ``lower > upper``.  ``lower == upper`` fixes an axis.
+    """
+    pairs = []
+    for pos, pair in enumerate(bounds):
+        field = f"{name}[{pos}]"
+        try:
+            lower, upper = pair
+        except (TypeError, ValueError):
+            raise ValueError(f"{field} must be a (lower, upper) pair, got {pair!r}") from None
+        lower = finite_number(f"{field} lower", lower)
+        upper = finite_number(f"{field} upper", upper)
+        if lower > upper:
+            raise ValueError(f"{field} needs lower <= upper, got {pair!r}")
+        pairs.append((lower, upper))
+    return tuple(pairs)
+
+
 @dataclass(frozen=True)
 class BlackBoxObjective:
     """A function known only through point evaluations.
@@ -64,6 +104,11 @@ class BlackBoxObjective:
     consume at least that much wall time (a stand-in for an expensive
     simulation).  ``failure_model``, when set, is a deterministic predicate
     marking points whose evaluation raises :class:`EvaluationFailure`.
+
+    ``dimension`` must be an integer >= 1, ``bounds`` one finite
+    ``(lower, upper)`` pair with ``lower <= upper`` per dimension, and
+    ``latency_s`` a finite number >= 0; anything else raises a ``ValueError``
+    naming the field.  They are stored as ``int``, float pairs and ``float``.
     """
 
     name: str
@@ -72,6 +117,15 @@ class BlackBoxObjective:
     evaluator: Callable[[np.ndarray], float]
     latency_s: float = 0.0
     failure_model: Callable[[np.ndarray], bool] | None = None
+
+    def __post_init__(self):
+        dimension = whole_number("dimension", self.dimension, 1)
+        bounds = bound_pairs("bounds", self.bounds)
+        if len(bounds) != dimension:
+            raise ValueError(f"bounds has {len(bounds)} pairs for dimension {dimension}")
+        object.__setattr__(self, "dimension", dimension)
+        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "latency_s", finite_number("latency_s", self.latency_s, 0))
 
     def evaluate(self, x) -> float:
         x = np.asarray(x, dtype=np.float64)
@@ -90,9 +144,7 @@ class BlackBoxObjective:
 
 def with_latency(obj: BlackBoxObjective, delay_s: float) -> BlackBoxObjective:
     """Copy of ``obj`` whose every evaluation takes at least ``delay_s``."""
-    if not 0 <= delay_s < math.inf:
-        raise ValueError("delay_s must be a finite number >= 0")
-    return dataclasses.replace(obj, latency_s=float(delay_s))
+    return dataclasses.replace(obj, latency_s=finite_number("delay_s", delay_s, 0))
 
 
 def seeded_failure_model(rate: float, seed: int) -> Callable[[np.ndarray], bool]:
@@ -315,8 +367,7 @@ def benchmark(name: str, dimension: int) -> BlackBoxObjective:
     """
     if name not in _BENCHMARKS:
         raise ValueError(f"unknown benchmark {name!r}; pick one of {sorted(_BENCHMARKS)}")
-    if dimension < 1:
-        raise ValueError("dimension must be >= 1")
+    dimension = whole_number("dimension", dimension, 1)
     if name == "rosenbrock" and dimension < 2:
         raise ValueError("rosenbrock needs dimension >= 2")
     lo, hi = _BENCHMARK_BOUNDS[name]
@@ -329,13 +380,17 @@ def benchmark(name: str, dimension: int) -> BlackBoxObjective:
 
 
 def shifted_quadratic(center, bounds=None) -> BlackBoxObjective:
-    """Separable quadratic ``sum((x - center)**2)`` with its minimum at ``center``."""
-    center = np.asarray(center, dtype=np.float64)
+    """Separable quadratic ``sum((x - center)**2)`` with its minimum at ``center``.
+
+    Every coordinate of ``center`` must be a finite number; ``bounds``
+    defaults to ``center ± 5`` on every axis.
+    """
+    center = np.array([finite_number(f"center[{pos}]", c) for pos, c in enumerate(center)])
     if bounds is None:
         bounds = tuple((c - 5.0, c + 5.0) for c in center)
     return BlackBoxObjective(
         name="quadratic",
         dimension=center.size,
-        bounds=tuple((float(lo), float(hi)) for lo, hi in bounds),
+        bounds=bounds,
         evaluator=lambda x: float(np.sum((x - center) ** 2)),
     )

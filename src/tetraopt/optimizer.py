@@ -11,7 +11,6 @@ resumes.  The incumbent is the best value over every point the passes touched.
 from __future__ import annotations
 
 import itertools
-import math
 import time
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -21,7 +20,7 @@ import numpy as np
 from .cross import IndexBatch, IndexCache, cross_requests
 from .cross import tt_cross  # noqa: F401  -- bench/layers.py patches this name
 from .harness import BatchRequest, evaluate_batch
-from .objectives import BlackBoxObjective, real_value, whole_number
+from .objectives import BlackBoxObjective, finite_number, real_value, whole_number
 from .trace import OptimizationTrace
 from .tt import MultiIndex
 
@@ -35,6 +34,11 @@ class SearchGrid:
     single-point dimension maps index 0 to ``lower``.  :meth:`points` maps a
     whole batch of multi-indices at once, from coordinates computed by
     :meth:`coordinate` when the grid is built.
+
+    Each item of ``dims`` is a ``(lower, upper, points)`` triple of finite
+    numbers and an integer ``points >= 1``, with ``lower < upper`` when
+    ``points > 1``; anything else raises a ``ValueError`` naming the
+    dimension and the field.
     """
 
     dims: tuple[tuple[float, float, int], ...]
@@ -42,12 +46,16 @@ class SearchGrid:
     def __init__(self, dims: Sequence[Sequence]):
         parsed = []
         for pos, dim in enumerate(dims):
-            lower, upper = float(dim[0]), float(dim[1])
-            points = whole_number(f"dimension {pos}: points", dim[2], 1)
-            if not (math.isfinite(lower) and math.isfinite(upper)):
-                raise ValueError(f"dimension {pos}: bounds must be finite")
+            field = f"dimension {pos}"
+            try:
+                lower, upper, points = dim
+            except (TypeError, ValueError):
+                raise ValueError(f"{field}: expected (lower, upper, points), got {dim!r}") from None
+            lower = finite_number(f"{field}: lower", lower)
+            upper = finite_number(f"{field}: upper", upper)
+            points = whole_number(f"{field}: points", points, 1)
             if points > 1 and not lower < upper:
-                raise ValueError(f"dimension {pos}: need lower < upper")
+                raise ValueError(f"{field}: need lower < upper")
             parsed.append((lower, upper, points))
         object.__setattr__(self, "dims", tuple(parsed))
         # Every axis's coordinates back to back; axis a starts at _offsets[a].
@@ -115,7 +123,9 @@ class TetraOptConfig:
     """Hyperparameters of the tensor-train optimizer.
 
     Defaults follow the reference setup for the mixer problem: rank 4, two
-    iterations, five grid points per dimension.
+    iterations, five grid points per dimension.  ``rank`` and ``iterations``
+    are integers >= 1, ``seed`` an integer >= 0 and ``minimize`` a bool;
+    anything else raises a ``ValueError`` naming the field.
     """
 
     grid: SearchGrid
@@ -127,6 +137,9 @@ class TetraOptConfig:
     def __post_init__(self):
         for name, least in (("rank", 1), ("iterations", 1), ("seed", 0)):
             object.__setattr__(self, name, whole_number(name, getattr(self, name), least))
+        if not isinstance(self.minimize, (bool, np.bool_)):
+            raise ValueError(f"minimize must be a bool, got {self.minimize!r}")
+        object.__setattr__(self, "minimize", bool(self.minimize))
 
 
 @dataclass

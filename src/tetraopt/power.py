@@ -15,11 +15,12 @@ the shift and seeds the final cross.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import isfinite, prod
+from math import prod
 
 import numpy as np
 
-from .cross import tensor_oracle, tt_cross
+from .cross import IndexCache, tensor_oracle, tt_cross, unpack_keys
+from .objectives import finite_number, whole_number
 # tt_hadamard is no longer called here but stays a module attribute: the
 # benchmark's layer tracing patches it by name.
 from .tt import (
@@ -46,6 +47,10 @@ class PowerConfig:
     it ``None`` to estimate one from seeded probes: the estimate flips the
     probed minimum to sit slightly above zero, which also sharpens the
     contrast between the top entries.
+
+    ``steps`` and ``max_rank`` are integers >= 1, ``rel_tol`` a finite
+    number >= 0 and ``shift`` None or a finite number; anything else raises
+    a ``ValueError`` naming the field.
     """
 
     steps: int = 8
@@ -54,14 +59,11 @@ class PowerConfig:
     shift: float | None = None
 
     def __post_init__(self):
-        if self.steps < 1:
-            raise ValueError("steps must be >= 1")
-        if self.max_rank < 1:
-            raise ValueError("max_rank must be >= 1")
-        if not (isfinite(self.rel_tol) and self.rel_tol >= 0):
-            raise ValueError("rel_tol must be finite and >= 0")
-        if self.shift is not None and not isfinite(self.shift):
-            raise ValueError("shift must be finite")
+        for name in ("steps", "max_rank"):
+            object.__setattr__(self, name, whole_number(name, getattr(self, name), 1))
+        object.__setattr__(self, "rel_tol", finite_number("rel_tol", self.rel_tol, 0))
+        if self.shift is not None:
+            object.__setattr__(self, "shift", finite_number("shift", self.shift))
 
 
 def _probe_indices(rng, shape, count: int) -> np.ndarray:
@@ -160,19 +162,17 @@ def tt_power_argmax(
         y = tt_scale(y, 1.0 / norm)
 
     cross_rank = min(config.max_rank, max(y.ranks))
-    _, log = tt_cross(
+    sampled = IndexCache()
+    tt_cross(
         tensor_oracle(y),
         y.mode_sizes,
         rank=cross_rank,
         sweeps=2,
         seed=int(rng.integers(0, 2**63)),
+        cache=sampled,
     )
-    best_idx = None
-    best_val = -np.inf
-    for idx, value, _ in log.entries:
-        if value > best_val or (value == best_val and idx < best_idx):
-            best_val = value
-            best_idx = idx
+    key, _ = sampled.largest()
+    best_idx = tuple(unpack_keys([key], y.order)[0].tolist())
     return best_idx, tt_eval(tt, best_idx)
 
 
@@ -184,8 +184,7 @@ def rank_growth_probe(tt: TensorTrain, steps: int) -> list[int]:
     (the largest rank a lossless representation can need).  With generous
     mode sizes the sequence is ``r, r**2, r**4, ...``.
     """
-    if steps < 0:
-        raise ValueError("steps must be >= 0")
+    steps = whole_number("steps", steps, 0)
     shape = tt.mode_sizes
     d = tt.order
     if d == 1:

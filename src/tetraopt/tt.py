@@ -15,6 +15,8 @@ from math import prod
 
 import numpy as np
 
+from .objectives import finite_number, whole_number
+
 MultiIndex = tuple[int, ...]
 
 DENSE_CAP = 1_000_000
@@ -268,10 +270,8 @@ def tt_round(tt: TensorTrain, max_rank: int, rel_tol: float = 0.0) -> TensorTrai
     total relative Frobenius error stays near ``rel_tol`` (the per-bond
     threshold is ``rel_tol * ||tt|| / sqrt(d - 1)``).
     """
-    if max_rank < 1:
-        raise ValueError("max_rank must be >= 1")
-    if rel_tol < 0:
-        raise ValueError("rel_tol must be >= 0")
+    max_rank = whole_number("max_rank", max_rank, 1)
+    rel_tol = finite_number("rel_tol", rel_tol, 0)
     d = tt.order
     if d == 1:
         return TensorTrain([c.copy() for c in tt.cores])
