@@ -10,9 +10,12 @@ caller can merge the requests of several runs into one batch;
 :func:`tt_cross` drives it with a blocking evaluator.
 
 Inside, a batch of multi-indices is an ``(N, d)`` integer array, and each
-index is known by a packed ``bytes`` key (:func:`pack_keys`).  The cache
-(:class:`IndexCache`) and the log hold keys and arrays; tuples are built
-only for an evaluator or a reader that asks for them.
+index is known by a packed ``bytes`` key (:func:`pack_keys`).  An
+:class:`IndexCache` and the log hold keys and arrays; tuples are built only
+for an evaluator or a reader that asks for them.  A caller's plain ``dict``
+is the cache itself: it is read and filled in place under index tuples, and
+no second cache is kept beside it.  The log keeps no set of its own;
+``unique_count`` is counted when it is read.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from typing import Callable, Generator
 import numpy as np
 
 from .maxvol import _COMPLETION_SEED, maxvol
-from .objectives import whole_number
+from .objectives import real_value, whole_number
 from .tt import MultiIndex, TensorTrain
 
 _ENUMERATION_CAP = 10_000
@@ -96,49 +99,16 @@ class IndexBatch(Sequence):
 
 
 class IndexCache(dict):
-    """Objective values keyed by the packed keys of their grid indices.
-
-    ``known`` and ``store`` take a batch at once: the keys and the ``(N, d)``
-    index array they encode.
-    """
-
-    def known(self, keys: list[bytes], rows: np.ndarray) -> list:
-        """The cached value of each key, or None where it has none."""
-        return list(map(self.get, keys))
+    """Objective values keyed by the packed keys of their grid indices."""
 
     def store(self, keys: list[bytes], rows: np.ndarray, values: Sequence[float]) -> None:
+        """Cache ``values`` under ``keys``, the packed keys of the ``(N, d)`` ``rows``."""
         self.update(zip(keys, values))
 
     def largest(self) -> tuple[bytes, float]:
         """The largest value and its key; ties go to the smallest key, the smallest index."""
         top = max(self.values())
         return min(key for key, value in self.items() if value == top), top
-
-
-class _DictCache(IndexCache):
-    """An :class:`IndexCache` in front of a caller's ``dict`` keyed by index tuples.
-
-    Keys it lacks are looked up in the dict, and stored values go into
-    both, so the dict reads as it would if it were the only cache.
-    """
-
-    def __init__(self, outer: dict):
-        super().__init__()
-        self.outer = outer
-
-    def known(self, keys, rows):
-        got = super().known(keys, rows)
-        if self.outer and None in got:
-            lacking = [pos for pos, value in enumerate(got) if value is None]
-            for pos, idx in zip(lacking, map(tuple, rows[lacking].tolist())):
-                value = self.outer.get(idx)
-                if value is not None:
-                    got[pos] = self[keys[pos]] = float(value)
-        return got
-
-    def store(self, keys, rows, values):
-        super().store(keys, rows, values)
-        self.outer.update(zip(map(tuple, rows.tolist()), values))
 
 
 class SampleLog:
@@ -149,12 +119,12 @@ class SampleLog:
     batch id.  ``entries`` expands the records into ``(multi_index, value,
     batch_id)`` triples when first read and keeps them; indices repeat when
     later batches re-request cached points, and ``batch_id`` is
-    nondecreasing.  ``unique_count`` counts distinct indices.
+    nondecreasing.  ``unique_count`` counts the distinct indices over the
+    records each time it is read.
     """
 
     def __init__(self):
         self._records: list[tuple[list[bytes], np.ndarray, int]] = []
-        self._seen: set[bytes] = set()
         self._entries: list[tuple[MultiIndex, float, int]] = []
         self._expanded = 0
         self._next_batch = 0
@@ -171,7 +141,7 @@ class SampleLog:
 
     @property
     def unique_count(self) -> int:
-        return len(self._seen)
+        return len(set(itertools.chain.from_iterable(keys for keys, _, _ in self._records)))
 
     def new_batch(self) -> int:
         batch = self._next_batch
@@ -187,7 +157,6 @@ class SampleLog:
 
     def _record(self, keys: list[bytes], values: np.ndarray, batch_id: int) -> None:
         self._records.append((keys, values, batch_id))
-        self._seen.update(keys)
 
 
 @dataclass
@@ -283,30 +252,27 @@ def cross_requests(
 
     Each core request yields its distinct cache misses, in request order, as
     an :class:`IndexBatch`, and expects their values to be sent back;
-    requests fully served by the cache yield nothing.  An
-    :class:`IndexCache` is used as it is and None stands for a fresh one.
-    A plain ``dict`` is wrapped in a fresh one that also looks up, by index
-    tuple, the keys it lacks in the dict, and fills the dict with every
-    value received.  Every requested
-    entry goes to ``log`` (skipped when ``log`` is None).  The generator
-    returns the interpolant.  Several generators can share one cache and
-    run in lockstep, provided every value of a round is cached before any
-    of them is resumed; otherwise one re-requests points another has just
-    received.  Arguments are as for :func:`tt_cross`, and are validated on
-    the first ``next``.
+    requests fully served by the cache yield nothing.  The cache is read with
+    ``get`` and filled with ``update``: an :class:`IndexCache` under packed
+    keys, a plain ``dict`` in place under index tuples, and None stands for
+    a fresh :class:`IndexCache`.  Every requested entry goes to ``log``
+    (skipped when ``log`` is None).  The generator returns the interpolant.
+    Several generators can share one cache and run in lockstep, provided
+    every value of a round is cached before any of them is resumed;
+    otherwise one re-requests points another has just received.  Arguments
+    are as for :func:`tt_cross`, and are validated on the first ``next``.
     """
-    shape = [int(n) for n in shape]
+    shape = [whole_number("shape", n, 1) for n in shape]
     d = len(shape)
-    if d < 1 or min(shape) < 1:
-        raise ValueError(f"invalid tensor shape {shape}")
+    if d < 1:
+        raise ValueError("invalid tensor shape []")
     if max(shape) >= _KEY_LIMIT:
         raise ValueError(f"mode sizes must be below {_KEY_LIMIT}")
     rank = whole_number("rank", rank, 1)
     sweeps = whole_number("sweeps", sweeps, 1)
     if cache is None:
         cache = IndexCache()
-    elif not isinstance(cache, IndexCache):
-        cache = _DictCache(cache)
+    packed = isinstance(cache, IndexCache)
 
     rng = np.random.default_rng(seed)
     sets = initial_index_sets(rng, shape, rank)
@@ -320,13 +286,14 @@ def cross_requests(
         block[..., j + 1 :] = np.reshape(suffixes, (1, 1, c, d - 1 - j))
         rows = block.reshape(-1, d)
         keys = pack_keys(rows)
+        lookup = keys if packed else list(map(tuple, rows.tolist()))
         batch = log.new_batch() if log is not None else None
-        got = cache.known(keys, rows)
+        got = list(map(cache.get, lookup))
         missing = [pos for pos, value in enumerate(got) if value is None]
         if missing:
             request = IndexBatch(rows[missing], [keys[pos] for pos in missing])
             values = _received((yield request), len(missing))
-            cache.store(request.keys, request.array, values)
+            cache.update(zip(map(lookup.__getitem__, missing), values))
             for pos, value in zip(missing, values):
                 got[pos] = value
         out = np.array(got, dtype=np.float64)
@@ -338,24 +305,22 @@ def cross_requests(
     for _ in range(sweeps):
         # Left-to-right: refresh row prefixes (nothing to pick after the last core).
         for j in range(d - 1):
-            values = yield from core_matrix(j, sets.left_sets[j], sets.right_sets[j])
+            prefixes, n = sets.left_sets[j], shape[j]
+            values = yield from core_matrix(j, prefixes, sets.right_sets[j])
             pivots, _ = _select_pivots(values)
-            extended = [
-                p + (i,) for p in sets.left_sets[j] for i in range(shape[j])
-            ]
-            sets.left_sets[j + 1] = [extended[a] for a in pivots]
+            # Row a of the matrix is prefix a // n with mode index a % n.
+            sets.left_sets[j + 1] = [prefixes[a // n] + (a % n,) for a in pivots]
 
         # Right-to-left: refresh column suffixes and assemble the cores.
         for j in range(d - 1, 0, -1):
-            n_cols = len(sets.right_sets[j])
-            values = yield from core_matrix(j, sets.left_sets[j], sets.right_sets[j])
+            suffixes = sets.right_sets[j]
+            n_cols = len(suffixes)
+            values = yield from core_matrix(j, sets.left_sets[j], suffixes)
             # Same entries viewed as (prefixes) x (mode, suffix) pairs.
             mat = values.reshape(len(sets.left_sets[j]), shape[j] * n_cols)
             pivots, coeffs = _select_pivots(mat.T)
-            extended = [
-                (i,) + s for i in range(shape[j]) for s in sets.right_sets[j]
-            ]
-            sets.right_sets[j - 1] = [extended[b] for b in pivots]
+            # Column b is mode index b // n_cols with suffix b % n_cols.
+            sets.right_sets[j - 1] = [(b // n_cols,) + suffixes[b % n_cols] for b in pivots]
             cores[j] = coeffs.T.reshape(len(pivots), shape[j], n_cols)
         values = yield from core_matrix(0, sets.left_sets[0], sets.right_sets[0])
         cores[0] = values.reshape(1, shape[0], len(sets.right_sets[0]))
@@ -368,7 +333,7 @@ def _received(values, count: int) -> list[float]:
     if isinstance(values, np.ndarray):
         values = values.astype(np.float64, copy=False).reshape(-1).tolist()
     else:
-        values = list(map(float, values))
+        values = list(map(real_value, values))
     if len(values) != count:
         raise ValueError(f"evaluator returned {len(values)} values for {count} indices")
     return values
@@ -404,9 +369,8 @@ def tt_cross(
     cache, log : optional
         Shared memo cache and sample log, e.g. to string several runs
         together.  The cache is an :class:`IndexCache`, or a ``dict`` keyed
-        by index tuples that is read and filled as
-        :func:`cross_requests` describes.  Fresh ones are created when
-        omitted.
+        by index tuples that is read and filled in place.  Fresh ones are
+        created when omitted.
 
     Returns
     -------
@@ -437,15 +401,16 @@ def tensor_oracle(tt: TensorTrain) -> Callable[[IndexBatch], np.ndarray]:
 def pointwise_oracle(fn: Callable[[MultiIndex], float]) -> Callable[[IndexBatch], list[float]]:
     """Batch evaluator from a per-index function.
 
-    Exceptions raised at a point surface as :class:`EvaluationError`
-    carrying the offending index.
+    Exceptions raised at a point, and values that are not real numbers
+    (see :func:`~tetraopt.objectives.real_value`), surface as
+    :class:`EvaluationError` carrying the offending index.
     """
 
     def evaluate(indices) -> list[float]:
         values = []
         for idx in indices:
             try:
-                values.append(float(fn(idx)))
+                values.append(real_value(fn(idx)))
             except EvaluationError:
                 raise
             except Exception as err:

@@ -234,7 +234,7 @@ def tetraopt_minimize(
         pending = [
             (p, misses)
             for p, asked in pending
-            if (misses := _resume(p, list(map(cache.__getitem__, asked.keys)))) is not None
+            if (misses := _resume(p, map(cache.__getitem__, asked.keys))) is not None
         ]
 
     trace.total_calls = len(cache)
@@ -267,8 +267,12 @@ def _merged(batches: list[IndexBatch]) -> tuple[list[bytes], np.ndarray]:
 
 
 def _resume(requests, values):
-    """Send a pass its values; its next cache misses, or None once it is done."""
+    """Send a pass its values; its next cache misses, or None once it is done.
+
+    The values come from the cache, so they are floats already; as an array
+    they skip the check the cross makes of each value an evaluator returns.
+    """
     try:
-        return requests.send(values)
+        return requests.send(np.fromiter(values, np.float64))
     except StopIteration:
         return None

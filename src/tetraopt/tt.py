@@ -103,8 +103,8 @@ class TensorTrain:
         With ``nonnegative=True`` the cores are uniform on [0, 1), which makes
         every entry of the represented tensor nonnegative.
         """
-        shape = [int(n) for n in shape]
-        ranks = bounded_ranks(shape, rank)
+        shape = [whole_number("shape", n, 1) for n in shape]
+        ranks = bounded_ranks(shape, whole_number("rank", rank, 1))
         cores = []
         for j, n in enumerate(shape):
             size = (ranks[j], n, ranks[j + 1])

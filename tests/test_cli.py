@@ -390,3 +390,24 @@ class TestParallelResolution:
         monkeypatch.setenv("TETRAOPT_PARALLEL", "0")  # invalid, but flag wins
         cfg = write_config(tmp_path, BAYES_QUADRATIC)
         assert main(["optimize", "--config", cfg, "--parallel", "1", "--out", str(out)]) == 0
+
+
+class TestFailureReports:
+    @pytest.mark.parametrize("seeds", ["", ","])
+    def test_empty_seed_flag_is_a_config_error(self, tmp_path, capsys, seeds):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, BAYES_QUADRATIC)
+        assert main(["optimize", "--config", cfg, "--seed", seeds, "--out", str(out)]) == 2
+        assert "--seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_runtime_failure_without_a_message_names_the_exception(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def out_of_memory(cfg, args):
+            raise MemoryError()
+
+        monkeypatch.setattr("tetraopt.cli.cmd_optimize", out_of_memory)
+        cfg = write_config(tmp_path, BAYES_QUADRATIC)
+        assert main(["optimize", "--config", cfg, "--out", str(tmp_path / "out")]) == 3
+        assert "runtime failure: MemoryError" in capsys.readouterr().err
