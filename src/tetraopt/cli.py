@@ -2,8 +2,8 @@
 
 Subcommands: ``optimize``, ``compare``, ``bench-parallel``, ``cross-test``.
 Every run is configured by a JSON file (strictly validated, unknown keys
-rejected) plus a few overriding flags.  Exit codes: 0 success, 2 config
-error, 3 runtime failure.
+rejected) plus a few overriding flags; a count whose array would exceed 1 GiB
+is refused.  Exit codes: 0 success, 2 config error, 3 runtime failure.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .tt import TensorTrain, save_tt, tt_eval_many
 PARALLEL_ENV_VAR = "TETRAOPT_PARALLEL"
 
 _BENCHMARK_NAMES = ("quadratic", "rosenbrock", "rastrigin", "ackley")
+_ARRAY_LIMIT_BYTES = 2**30  # the largest float64 array a count setting may ask for
 
 
 class ConfigError(Exception):
@@ -194,6 +195,11 @@ def _resolve_parallel(cfg: dict, flag: int | None) -> int | None:
         return None
     with _checked():
         return whole_number(source, value, 1)
+
+
+def _check_array(field: str, rows: int, columns: int) -> None:
+    if rows * columns * 8 > _ARRAY_LIMIT_BYTES:
+        raise ConfigError(f"{field}: {rows} x {columns} float64 values exceed the 1 GiB limit")
 
 
 def _out_dir(cfg: dict, flag: str | None) -> Path:
@@ -369,6 +375,7 @@ def cmd_bench_parallel(cfg: dict, args) -> int:
         batch_size = whole_number("batch_size", cfg["batch_size"], 1)
         levels = [whole_number("levels", level, 1) for level in cfg["levels"]]
         seed = whole_number("seed", cfg.get("seed", 0), 0)
+    _check_array("batch_size", batch_size, objective.dimension)
     out = _out_dir(cfg, args.out)
 
     rows = parallel_scaling_report(objective, batch_size, levels, seed=seed)
@@ -397,6 +404,7 @@ def cmd_cross_test(cfg: dict, args) -> int:
         rank = whole_number("rank", cfg["rank"], 1)
         sweeps = whole_number("sweeps", cfg["sweeps"], 1)
         probes = whole_number("probes", cfg.get("probes", 1000), 1)
+    _check_array("probes", probes, len(shape))
     save = cfg.get("save_tt", False)
     if not isinstance(save, bool):
         raise ConfigError(f"save_tt: expected true or false, got {save!r}")

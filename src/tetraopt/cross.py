@@ -5,9 +5,9 @@ half sweep refreshes the row sets, a right-to-left half sweep refreshes the
 column sets and assembles the cores; one sweep is the pair.  Every entry the
 algorithm asks for goes through a memo cache and is recorded in a
 :class:`SampleLog`.  :func:`cross_requests` is the algorithm as a generator
-that yields each batch of cache misses and receives their values, so a
-caller can merge the requests of several runs into one batch;
-:func:`tt_cross` drives it with a blocking evaluator.
+that yields each batch of cache misses and takes their values, or None
+once they are cached, so a caller can merge the requests of several runs
+into one batch; :func:`tt_cross` drives it with a blocking evaluator.
 
 Inside, a batch of multi-indices is an ``(N, d)`` integer array, and each
 index is known by a packed ``bytes`` key (:func:`pack_keys`).  An
@@ -153,10 +153,7 @@ class SampleLog:
         values = np.asarray(values, dtype=np.float64)
         if len(values):
             rows = np.asarray(indices, dtype=np.intp).reshape(len(values), -1)
-            self._record(pack_keys(rows), values, batch_id)
-
-    def _record(self, keys: list[bytes], values: np.ndarray, batch_id: int) -> None:
-        self._records.append((keys, values, batch_id))
+            self._records.append((pack_keys(rows), values, batch_id))
 
 
 @dataclass
@@ -251,14 +248,14 @@ def cross_requests(
     """Cross interpolation as a generator of evaluation requests.
 
     Each core request yields its distinct cache misses, in request order, as
-    an :class:`IndexBatch`, and expects their values to be sent back;
-    requests fully served by the cache yield nothing.  The cache is read with
-    ``get`` and filled with ``update``: an :class:`IndexCache` under packed
-    keys, a plain ``dict`` in place under index tuples, and None stands for
-    a fresh :class:`IndexCache`.  Every requested entry goes to ``log``
-    (skipped when ``log`` is None).  The generator returns the interpolant.
-    Several generators can share one cache and run in lockstep, provided
-    every value of a round is cached before any of them is resumed;
+    an :class:`IndexBatch`: send the values, or resume with None once they are
+    in the cache (else ``ValueError``); the request is then read from the
+    cache.  Requests the cache serves yield nothing.  The cache is filled with
+    ``update``: an :class:`IndexCache` under packed keys, a plain ``dict`` in
+    place under index tuples, and None stands for a fresh :class:`IndexCache`.
+    Every requested entry goes to ``log`` unless it is None.  The generator
+    returns the interpolant.  Generators sharing one cache can run in
+    lockstep if every value of a round is cached before any of them resumes;
     otherwise one re-requests points another has just received.  Arguments
     are as for :func:`tt_cross`, and are validated on the first ``next``.
     """
@@ -288,17 +285,18 @@ def cross_requests(
         keys = pack_keys(rows)
         lookup = keys if packed else list(map(tuple, rows.tolist()))
         batch = log.new_batch() if log is not None else None
-        got = list(map(cache.get, lookup))
-        missing = [pos for pos, value in enumerate(got) if value is None]
+        missing = [pos for pos, value in enumerate(map(cache.get, lookup)) if value is None]
         if missing:
             request = IndexBatch(rows[missing], [keys[pos] for pos in missing])
-            values = _received((yield request), len(missing))
-            cache.update(zip(map(lookup.__getitem__, missing), values))
-            for pos, value in zip(missing, values):
-                got[pos] = value
-        out = np.array(got, dtype=np.float64)
+            if (values := (yield request)) is not None:
+                cache.update(zip(map(lookup.__getitem__, missing), _received(values, len(missing))))
+        try:
+            out = np.fromiter(map(cache.__getitem__, lookup), np.float64, len(lookup))
+        except KeyError:
+            absent = sum(key not in cache for key in lookup)
+            raise ValueError(f"{absent} of {len(missing)} values not in the cache") from None
         if log is not None:
-            log._record(keys, out, batch)
+            log._records.append((keys, out, batch))
         return out.reshape(a * n, c)
 
     cores: list[np.ndarray | None] = [None] * d

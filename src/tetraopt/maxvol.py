@@ -4,6 +4,10 @@ Given an ``n x r`` matrix with ``n >= r``, :func:`maxvol` picks ``r`` rows
 whose square submatrix has (locally) maximal absolute determinant.  The
 selection drives cross interpolation: the coefficient matrix it returns
 expresses every row of the input as a combination of the chosen rows.
+
+``tetraopt/__init__.py`` re-exports :func:`maxvol` over this submodule's
+name, so ``import tetraopt.maxvol`` binds the function; to patch the module,
+take it from ``sys.modules["tetraopt.maxvol"]``.
 """
 
 from __future__ import annotations
@@ -62,10 +66,14 @@ def _greedy_swaps(work: np.ndarray, start: tuple[int, ...]) -> tuple[list[int], 
     ``coeffs = work @ inv(work[selected])`` is formed once; swapping row
     ``i`` into position ``j`` multiplies |det| by ``|coeffs[i, j]|`` and
     updates ``coeffs`` by a rank-1 correction (Goreinov et al., *How to find
-    a good submatrix*, 2010), so a swap costs O(n r) and no solve.
+    a good submatrix*, 2010), so a swap costs O(n r) and no solve.  A start
+    with non-finite coefficients raises ``LinAlgError``, as a singular one does.
     """
     selected = list(start)
-    coeffs = work @ np.linalg.inv(work[selected])
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = work @ np.linalg.inv(work[selected])
+    if not np.isfinite(coeffs).all():
+        raise np.linalg.LinAlgError("start submatrix is numerically singular")
     r = coeffs.shape[1]
     swap_count = 0
     while True:

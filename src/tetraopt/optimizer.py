@@ -5,7 +5,8 @@ The optimizer lays a uniform grid over the search box and runs
 random index sets each time, one evaluation cache per run).  The passes run
 in lockstep: each round merges the cache misses of every live pass into one
 batch, which the harness evaluates into the run's cache before any pass
-resumes.  The incumbent is the best value over every point the passes touched.
+resumes and reads its values from there.  The incumbent is the best value
+over every point the passes touched.
 """
 
 from __future__ import annotations
@@ -221,21 +222,16 @@ def tetraopt_minimize(
         cross_requests(grid.shape, config.rank, 1, int(s), cache=cache, log=None)
         for s in pass_seeds
     ]
-    pending = [(p, misses) for p in passes if (misses := next(p, None)) is not None]
     rounds = 0
-    while pending:
-        keys, rows = _merged([misses for _, misses in pending])
+    # The harness caches the whole round before any pass resumes and reads it
+    # back; else one pass would re-request points another received.  A
+    # finished pass gives None on every later ``next``.
+    while batches := [misses for p in passes if (misses := next(p, None)) is not None]:
+        keys, rows = _merged(batches)
         request = BatchRequest(batch_id=rounds, indices=keys, points=list(grid.points(rows)))
         rounds += 1
-        # The whole round is cached before any pass resumes; a pass resumed
-        # earlier would otherwise re-request points a later pass received.
         result = evaluate_batch(objective, request, max_parallel, cache=cache)
         tracker.absorb(keys, rows, result.values, result.failures, len(cache))
-        pending = [
-            (p, misses)
-            for p, asked in pending
-            if (misses := _resume(p, map(cache.__getitem__, asked.keys))) is not None
-        ]
 
     trace.total_calls = len(cache)
     trace.total_runtime_s = time.perf_counter() - started_at
@@ -264,15 +260,3 @@ def _merged(batches: list[IndexBatch]) -> tuple[list[bytes], np.ndarray]:
         first = dict(zip(reversed(keys), range(len(keys) - 1, -1, -1)))
         rows = rows[[first[key] for key in unique]]
     return unique, rows
-
-
-def _resume(requests, values):
-    """Send a pass its values; its next cache misses, or None once it is done.
-
-    The values come from the cache, so they are floats already; as an array
-    they skip the check the cross makes of each value an evaluator returns.
-    """
-    try:
-        return requests.send(np.fromiter(values, np.float64))
-    except StopIteration:
-        return None
