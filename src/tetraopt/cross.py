@@ -11,8 +11,9 @@ into one batch; :func:`tt_cross` drives it with a blocking evaluator.
 
 Inside, a batch of multi-indices is an ``(N, d)`` integer array, and each
 index is known by a packed ``bytes`` key (:func:`pack_keys`).  An
-:class:`IndexCache` and the log hold keys and arrays; tuples are built only
-for an evaluator or a reader that asks for them.  A caller's plain ``dict``
+:class:`IndexCache` and the log hold keys and arrays; tuples are built for
+an evaluator that asks for them, and for the log's entries each time they
+are read.  A caller's plain ``dict``
 is the cache itself: it is read and filled in place under index tuples, and
 no second cache is kept beside it.  The log keeps no set of its own;
 ``unique_count`` is counted when it is read.
@@ -116,28 +117,24 @@ class SampleLog:
 
     The log keeps one record per request: the indices' packed keys (shared
     with the cache that holds them), their values as an array, and the
-    batch id.  ``entries`` expands the records into ``(multi_index, value,
-    batch_id)`` triples when first read and keeps them; indices repeat when
-    later batches re-request cached points, and ``batch_id`` is
+    batch id.  ``entries`` expands the records into a new list of
+    ``(multi_index, value, batch_id)`` triples each time it is read; indices
+    repeat when later batches re-request cached points, and ``batch_id`` is
     nondecreasing.  ``unique_count`` counts the distinct indices over the
     records each time it is read.
     """
 
     def __init__(self):
         self._records: list[tuple[list[bytes], np.ndarray, int]] = []
-        self._entries: list[tuple[MultiIndex, float, int]] = []
-        self._expanded = 0
         self._next_batch = 0
 
     @property
     def entries(self) -> list[tuple[MultiIndex, float, int]]:
-        for keys, values, batch in self._records[self._expanded :]:
+        entries = []
+        for keys, values, batch in self._records:
             rows = unpack_keys(keys, len(keys[0]) // _KEY_DTYPE.itemsize)
-            self._entries.extend(
-                zip(map(tuple, rows.tolist()), values.tolist(), itertools.repeat(batch))
-            )
-        self._expanded = len(self._records)
-        return self._entries
+            entries.extend(zip(map(tuple, rows.tolist()), values.tolist(), itertools.repeat(batch)))
+        return entries
 
     @property
     def unique_count(self) -> int:

@@ -12,6 +12,7 @@ over every point the passes touched.
 from __future__ import annotations
 
 import itertools
+import math
 import time
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -143,48 +144,6 @@ class TetraOptConfig:
         object.__setattr__(self, "minimize", bool(self.minimize))
 
 
-@dataclass
-class _IncumbentTracker:
-    """Streaming minimum over sampled grid points, with deterministic ties.
-
-    Failed evaluations never become incumbents; among equal values the
-    lexicographically smallest multi-index wins (packed keys compare like
-    the indices they encode), so the final incumbent does not depend on the
-    order in which points arrive.  Every batch that changes the incumbent,
-    by value or by a tie on a smaller index, records one trace event.
-    """
-
-    grid: SearchGrid
-    trace: OptimizationTrace
-    started_at: float
-    best_value: float = float("inf")
-    best_key: bytes | None = None
-
-    def absorb(self, keys, rows, values, failures, calls: int) -> None:
-        """Take in one batch but its ``failures``; ``calls`` is the unique-call count after it.
-
-        ``keys`` are the packed keys of the index array ``rows``.
-        """
-        healthy = np.delete(np.arange(len(keys)), failures)
-        if not healthy.size:
-            return
-        values = np.asarray(values, dtype=np.float64)
-        lowest = values[healthy].min()
-        pos = min(healthy[values[healthy] == lowest].tolist(), key=keys.__getitem__)
-        value = float(values[pos])
-        if value < self.best_value or (
-            value == self.best_value and (self.best_key is None or keys[pos] < self.best_key)
-        ):
-            self.best_value = value
-            self.best_key = keys[pos]
-            self.trace.record(
-                calls,
-                time.perf_counter() - self.started_at,
-                self.best_value,
-                grid_point(self.grid, tuple(rows[pos].tolist())),
-            )
-
-
 def tetraopt_minimize(
     objective: BlackBoxObjective,
     config: TetraOptConfig,
@@ -198,9 +157,11 @@ def tetraopt_minimize(
     call for the merged cache misses of all passes, which the harness writes
     into the run's one :class:`~tetraopt.cross.IndexCache`.  The points
     sampled, and so the result, are those of running the passes one after
-    another.  All sampled grid points feed the incumbent; the trace records
-    one event per round that changes it, timestamped at the round's
-    completion, with the unique-call count after that round.  With
+    another.  The incumbent is the least ``(value, index)`` over the sampled
+    points: failed points never become incumbents, and among equal values
+    the smallest multi-index wins whatever order the points arrive in.  The
+    trace records one event per round that lowers it, timestamped at the
+    round's completion, with the unique-call count after that round.  With
     ``minimize=False`` the negated objective is minimized, failures
     included, and the trace reports the original sign.
     """
@@ -214,7 +175,6 @@ def tetraopt_minimize(
 
     started_at = time.perf_counter()
     trace = OptimizationTrace()
-    tracker = _IncumbentTracker(grid=grid, trace=trace, started_at=started_at)
     cache = IndexCache()
 
     pass_seeds = np.random.default_rng(config.seed).integers(0, 2**63, size=config.iterations)
@@ -223,15 +183,27 @@ def tetraopt_minimize(
         for s in pass_seeds
     ]
     rounds = 0
+    # Packed keys compare like the indices they encode.
+    best = (math.inf, b"")
     # The harness caches the whole round before any pass resumes and reads it
     # back; else one pass would re-request points another received.  A
     # finished pass gives None on every later ``next``.
     while batches := [misses for p in passes if (misses := next(p, None)) is not None]:
         keys, rows = _merged(batches)
-        request = BatchRequest(batch_id=rounds, indices=keys, points=list(grid.points(rows)))
+        request = BatchRequest(batch_id=rounds, indices=keys, points=grid.points(rows))
         rounds += 1
         result = evaluate_batch(objective, request, max_parallel, cache=cache)
-        tracker.absorb(keys, rows, result.values, result.failures, len(cache))
+        healthy = np.delete(np.arange(len(keys)), result.failures)
+        if not healthy.size:
+            continue
+        values = np.asarray(result.values, dtype=np.float64)[healthy]
+        lowest = values.min()
+        pos = min(healthy[values == lowest].tolist(), key=keys.__getitem__)
+        if (lowest, keys[pos]) < best:
+            best = (float(lowest), keys[pos])
+            trace.record(
+                len(cache), time.perf_counter() - started_at, best[0], grid_point(grid, rows[pos])
+            )
 
     trace.total_calls = len(cache)
     trace.total_runtime_s = time.perf_counter() - started_at

@@ -113,19 +113,10 @@ class TensorTrain:
         return cls(cores)
 
 
-def bounded_ranks(shape, rank) -> list[int]:
-    """Clip a target bond rank to the unfolding bounds of ``shape``."""
-    d = len(shape)
-    if isinstance(rank, int):
-        rank = [rank] * (d - 1)
-    if len(rank) != d - 1:
-        raise ValueError("need one interior rank per bond")
-    ranks = [1]
-    for j in range(d - 1):
-        cap = min(prod(shape[: j + 1]), prod(shape[j + 1 :]))
-        ranks.append(max(1, min(int(rank[j]), cap)))
-    ranks.append(1)
-    return ranks
+def bounded_ranks(shape, rank: int) -> list[int]:
+    """Clip the bond rank ``rank`` to the unfolding bounds of ``shape``."""
+    caps = [min(prod(shape[: j + 1]), prod(shape[j + 1 :])) for j in range(len(shape) - 1)]
+    return [1, *(max(1, min(rank, cap)) for cap in caps), 1]
 
 
 def validate_index(tt: TensorTrain, idx) -> MultiIndex:
