@@ -4,9 +4,10 @@
 Every case is a small valid config, or one with a single setting replaced
 by an odd value (a bool, text, a float, a negative, zero, NaN, an infinity,
 null, a list or an object).  For each case the script records the exit
-code, whether the output directory was created, a digest of every output
-file with its timing columns removed, and the error message.  Run it once
-per checkout and compare the two records:
+code, whether the output directory was created, a digest of the bytes of
+every output file with its timing values blanked, and the error message.
+Run it once per checkout, with the same version of this script for both
+(digests from another version do not compare), and compare the two records:
 
     PYTHONPATH=<checkout A>/src python scripts/cli_matrix.py > a.jsonl
     PYTHONPATH=<checkout B>/src python scripts/cli_matrix.py > b.jsonl
@@ -22,12 +23,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import copy
-import csv
 import hashlib
 import io
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -129,9 +130,10 @@ ODD_VALUES = {
     "null": None, "list": [1], "object": {"a": 1},
 }
 
-# Output columns (by header name) and summary keys that hold timings.
+# Output columns (by header name) that hold timings, and the summary keys
+# that do, with their values (up to the next comma, line end or bracket).
 TIMING_COLUMNS = {"wall_time_s", "effective_time_per_eval_s"}
-TIMING_KEYS = {"total_runtime_s", "median_runtime_s"}
+TIMING_VALUES = re.compile(rb'("(?:total_runtime_s|median_runtime_s)":\s*)[^,\r\n}\]]*')
 
 
 def cases():
@@ -150,28 +152,34 @@ def cases():
             yield f"{base}/{label}={value_name}", command, changed, field
 
 
-def _without_timings(data):
-    if isinstance(data, dict):
-        return {k: _without_timings(v) for k, v in data.items() if k not in TIMING_KEYS}
-    if isinstance(data, list):
-        return [_without_timings(v) for v in data]
-    return data
+def _blank_columns(lines: list[bytes]) -> list[bytes]:
+    """CSV lines with the timing columns emptied, line ends kept.
+
+    Cells are split at every comma: the files with timing columns quote none.
+    """
+    header = lines[0].rstrip(b"\r\n").decode().split(",")
+    blank = [pos for pos, name in enumerate(header) if name in TIMING_COLUMNS]
+    out = lines[:1]
+    for line in lines[1:]:
+        body = line.rstrip(b"\r\n")
+        cells = body.split(b",")
+        for pos in blank:
+            cells[pos] = b""
+        out.append(b",".join(cells) + line[len(body):])
+    return out
 
 
 def digest(path: Path) -> str:
-    """SHA-256 of an output file, timing columns and keys removed."""
+    """SHA-256 of an output file's bytes, with its timing values blanked in place."""
+    data = path.read_bytes()
     if path.suffix == ".json":
-        data = json.dumps(_without_timings(json.loads(path.read_text())), sort_keys=True)
+        data = TIMING_VALUES.sub(rb"\1", data)
     elif path.name == "envelopes.csv":
         # Which rows exist depends on the run times; only the header is fixed.
-        data = path.read_text().splitlines()[0]
+        data = b"".join(data.splitlines(keepends=True)[:1])
     elif path.suffix == ".csv":
-        rows = list(csv.reader(io.StringIO(path.read_text())))
-        keep = [pos for pos, name in enumerate(rows[0]) if name not in TIMING_COLUMNS]
-        data = "\n".join(",".join(row[pos] for pos in keep) for row in rows)
-    else:
-        data = path.read_bytes().hex()
-    return hashlib.sha256(data.encode()).hexdigest()[:16]
+        data = b"".join(_blank_columns(data.splitlines(keepends=True)))
+    return hashlib.sha256(data).hexdigest()[:16]
 
 
 def run_case(main, command: str, config: dict, workdir: Path) -> dict:

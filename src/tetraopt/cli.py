@@ -2,8 +2,8 @@
 
 Subcommands: ``optimize``, ``compare``, ``bench-parallel``, ``cross-test``.
 Every run is configured by a JSON file (strictly validated, unknown keys
-rejected) plus a few overriding flags; a count whose array would exceed 1 GiB
-is refused.  Exit codes: 0 success, 2 config error, 3 runtime failure.
+rejected) plus a few overriding flags; a count or a cross-test shape that
+needs over 1 GiB is refused.  Exit codes: 0 success, 2 config error, 3 runtime failure.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from .cross import IndexCache, tensor_oracle, tt_cross
 from .gp import BayesConfig, bayes_minimize
 from .harness import parallel_scaling_report
 from .objectives import (
+    BENCHMARK_NAMES,
     BlackBoxObjective,
     benchmark,
     mixer_objective,
@@ -31,17 +32,22 @@ from .objectives import (
 )
 from .optimizer import SearchGrid, TetraOptConfig, tetraopt_minimize
 from .power import PowerConfig, tt_power_argmax
-from .tt import TensorTrain, save_tt, tt_eval_many
+from .tt import TensorTrain, bounded_ranks, save_tt, tt_eval_many
 
 PARALLEL_ENV_VAR = "TETRAOPT_PARALLEL"
 
-_BENCHMARK_NAMES = ("quadratic", "rosenbrock", "rastrigin", "ackley")
-_ARRAY_LIMIT_BYTES = 2**30  # the most memory a count setting may ask for
+_ARRAY_LIMIT_BYTES = 2**30  # the most memory a count or shape setting may ask for
 # What parallel_scaling_report holds per point besides its 8 * d bytes of
 # coordinates (the point's array object, its index and its cache entry):
 # under tracemalloc, 40,000 points peaked at 392 + 8 * d bytes each for
 # d = 1 to 32, and 412 + 8 * d on the first call of a process.
 _POINT_OVERHEAD_BYTES = 416
+# What a cross holds per row of its largest request (index block, packed keys,
+# cache and sample-log entries): under tracemalloc, one-sweep rank-1 and rank-3
+# crosses with one large mode peaked at 224 bytes at d = 1 up to 1,151 at d = 32,
+# below 400 + 24 * d.  The least a cross holds: log and cache keep every request.
+_REQUEST_ROW_BYTES, _REQUEST_AXIS_BYTES = 400, 24
+_PROBE_CHUNK = 2**14  # probes stacked and evaluated at a time
 
 
 class ConfigError(Exception):
@@ -99,7 +105,7 @@ def _build_objective(spec, context: str = "objective") -> BlackBoxObjective:
     name = spec["name"]
     if name == "mixer":
         _reject_unused(spec, context, name, ("dimension", "center"))
-    elif name in _BENCHMARK_NAMES:
+    elif name in BENCHMARK_NAMES:
         if name != "quadratic":
             _reject_unused(spec, context, name, ("center",))
         if "dimension" not in spec:
@@ -107,7 +113,7 @@ def _build_objective(spec, context: str = "objective") -> BlackBoxObjective:
     else:
         raise ConfigError(
             f"{context}.name: unknown objective {name!r} "
-            f"(expected mixer or one of {list(_BENCHMARK_NAMES)})"
+            f"(expected mixer or one of {list(BENCHMARK_NAMES)})"
         )
     for key in ("center", "bounds"):
         if key in spec and not isinstance(spec[key], list):
@@ -213,6 +219,13 @@ def _out_dir(cfg: dict, flag: str | None) -> Path:
     return out
 
 
+def _write_table(path: Path, header: str, lines) -> None:
+    """Write ``header``, then ``lines``, one per line, with LF line ends on every platform."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        fh.writelines(line + "\n" for line in lines)
+
+
 def _run_one(objective, template, seed: int, parallel):
     config = dataclasses.replace(template, seed=seed)
     if isinstance(config, TetraOptConfig):
@@ -263,19 +276,20 @@ def cmd_optimize(cfg: dict, args) -> int:
         "runs": runs,
         "median_best_value": statistics.median(r["best_value"] for r in runs),
     }
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
+    (out / "summary.json").write_text(json.dumps(summary, indent=2))
     print(f"wrote {len(runs)} trace(s) and summary.json to {out}")
     return 0
 
 
-def _envelope_rows(label: str, traces: list, grid_times: np.ndarray):
-    rows = []
-    for t in grid_times:
-        values = [trace.value_at(t) for trace in traces]
-        if np.all(np.isfinite(values)):
-            rows.append((label, t, statistics.median(values), min(values), max(values)))
-    return rows
+def _envelope_rows(all_traces: dict[str, list], grid_times: np.ndarray):
+    for label, traces in all_traces.items():
+        for t in grid_times:
+            values = [trace.value_at(t) for trace in traces]
+            if np.all(np.isfinite(values)):
+                yield (
+                    f"{label},{t:.6f},{statistics.median(values):.17g},"
+                    f"{min(values):.17g},{max(values):.17g}"
+                )
 
 
 def cmd_compare(cfg: dict, args) -> int:
@@ -298,40 +312,26 @@ def cmd_compare(cfg: dict, args) -> int:
     parallel = _resolve_parallel(cfg, args.parallel)
     out = _out_dir(cfg, args.out)
 
-    all_traces: dict[str, list] = {}
+    all_traces, finals, medians = {}, {}, {}
     for label, template in zip(labels, templates):
-        all_traces[label] = [
-            _run_one(objective, template, seed, parallel) for seed in seeds
-        ]
-        finals = [trace.best_value for trace in all_traces[label]]
-        print(f"{label}: median final best = {statistics.median(finals):.6g}")
+        all_traces[label] = [_run_one(objective, template, seed, parallel) for seed in seeds]
+        finals[label] = [trace.best_value for trace in all_traces[label]]
+        medians[label] = statistics.median(finals[label])
+        print(f"{label}: median final best = {medians[label]:.6g}")
 
-    with open(out / "comparison.csv", "w", newline="") as fh:
-        fh.write("optimizer,seed,wall_time_s,calls,best_value\n")
-        for label in labels:
-            for seed, trace in zip(seeds, all_traces[label]):
-                for event in trace.events:
-                    fh.write(
-                        f"{label},{seed},{event.wall_time_s:.6f},"
-                        f"{event.unique_calls_so_far},{event.best_value:.17g}\n"
-                    )
-
-    horizon = max(
-        trace.total_runtime_s for traces in all_traces.values() for trace in traces
+    _write_table(out / "comparison.csv", "optimizer,seed,wall_time_s,calls,best_value", (
+        f"{label},{seed},{event.wall_time_s:.6f},"
+        f"{event.unique_calls_so_far},{event.best_value:.17g}"
+        for label, traces in all_traces.items()
+        for seed, trace in zip(seeds, traces)
+        for event in trace.events
+    ))
+    horizon = max(trace.total_runtime_s for traces in all_traces.values() for trace in traces)
+    _write_table(
+        out / "envelopes.csv", "optimizer,wall_time_s,median_best,lowest_best,highest_best",
+        _envelope_rows(all_traces, np.linspace(0.0, horizon, 64)),
     )
-    grid_times = np.linspace(0.0, horizon, 64)
-    with open(out / "envelopes.csv", "w", newline="") as fh:
-        fh.write("optimizer,wall_time_s,median_best,lowest_best,highest_best\n")
-        for label in labels:
-            for row in _envelope_rows(label, all_traces[label], grid_times):
-                fh.write(
-                    f"{row[0]},{row[1]:.6f},{row[2]:.17g},{row[3]:.17g},{row[4]:.17g}\n"
-                )
 
-    medians = {
-        label: statistics.median(trace.best_value for trace in all_traces[label])
-        for label in labels
-    }
     summary = {
         "objective": objective.name,
         "seeds": seeds,
@@ -339,8 +339,8 @@ def cmd_compare(cfg: dict, args) -> int:
             label: {
                 "spec": spec,
                 "median_final_best": medians[label],
-                "best_final_best": min(t.best_value for t in all_traces[label]),
-                "worst_final_best": max(t.best_value for t in all_traces[label]),
+                "best_final_best": min(finals[label]),
+                "worst_final_best": max(finals[label]),
                 "median_total_calls": statistics.median(
                     t.total_calls for t in all_traces[label]
                 ),
@@ -358,8 +358,7 @@ def cmd_compare(cfg: dict, args) -> int:
             )
         },
     }
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
+    (out / "summary.json").write_text(json.dumps(summary, indent=2))
     print(f"wrote comparison.csv, envelopes.csv, summary.json to {out}")
     return 0
 
@@ -385,11 +384,11 @@ def cmd_bench_parallel(cfg: dict, args) -> int:
 
     rows = parallel_scaling_report(objective, batch_size, levels, seed=seed)
     path = out / "scaling.csv"
-    with open(path, "w", newline="") as fh:
-        fh.write("parallelism,effective_time_per_eval_s\n")
-        for level, effective in rows:
-            fh.write(f"{level},{effective:.6f}\n")
-            print(f"parallelism {level}: {effective * 1e3:.2f} ms per evaluation")
+    _write_table(path, "parallelism,effective_time_per_eval_s", (
+        f"{level},{effective:.6f}" for level, effective in rows
+    ))
+    for level, effective in rows:
+        print(f"parallelism {level}: {effective * 1e3:.2f} ms per evaluation")
     print(f"wrote {path}")
     return 0
 
@@ -409,7 +408,17 @@ def cmd_cross_test(cfg: dict, args) -> int:
         rank = whole_number("rank", cfg["rank"], 1)
         sweeps = whole_number("sweeps", cfg["sweeps"], 1)
         probes = whole_number("probes", cfg.get("probes", 1000), 1)
-    _check_array("probes", probes, 8 * len(shape))
+    d = len(shape)
+    _check_array("probes", probes, 8 * d)
+    train_ranks, cross_ranks = bounded_ranks(shape, generator_rank), bounded_ranks(shape, rank)
+    train_floats = sum(a * n * b for a, n, b in zip(train_ranks, shape, train_ranks[1:]))
+    request_rows = max(a * n * b for a, n, b in zip(cross_ranks, shape, cross_ranks[1:]))
+    need = 8 * train_floats + request_rows * (_REQUEST_ROW_BYTES + _REQUEST_AXIS_BYTES * d)
+    if need > _ARRAY_LIMIT_BYTES:
+        raise ConfigError(
+            f"shape: a source train of {train_floats} floats and a cross request "
+            f"of {request_rows} rows need {need} bytes, over the 1 GiB limit"
+        )
     save = cfg.get("save_tt", False)
     if not isinstance(save, bool):
         raise ConfigError(f"save_tt: expected true or false, got {save!r}")
@@ -423,49 +432,45 @@ def cmd_cross_test(cfg: dict, args) -> int:
             power_cfg = PowerConfig(**cfg["power"])
     out = _out_dir(cfg, args.out)
 
-    d = len(shape)
     budget = 2 * sweeps * d * max(shape) * rank * rank
-    path = out / "cross_test.csv"
-    with contextlib.ExitStack() as stack:
-        fh = stack.enter_context(open(path, "w", newline=""))
-        fh.write("seed,d,n_max,rank,sweeps,rel_error,unique_calls,budget,within_budget\n")
-        power_fh = None
+    lines, power_lines = [], []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        source = TensorTrain.random(shape, generator_rank, rng)
+        sampled = IndexCache()
+        approx, _ = tt_cross(tensor_oracle(source), shape, rank, sweeps, seed, cache=sampled)
+        columns = [rng.integers(0, n, size=probes) for n in shape]
+        error = scale = 0.0  # running maxima over fixed chunks; a NaN propagates
+        for start in range(0, probes, _PROBE_CHUNK):
+            rows = np.stack([column[start : start + _PROBE_CHUNK] for column in columns], axis=1)
+            truth = tt_eval_many(source, rows)
+            error = np.maximum(error, np.max(np.abs(tt_eval_many(approx, rows) - truth)))
+            scale = np.maximum(scale, np.max(np.abs(truth)))
+        rel_error = float(error) / (float(scale) if scale > 0 else 1.0)
+        calls = len(sampled)
+        lines.append(
+            f"{seed},{d},{max(shape)},{rank},{sweeps},{rel_error:.3e},"
+            f"{calls},{budget},{str(calls <= budget).lower()}"
+        )
+        print(f"seed={seed}: rel_error={rel_error:.3e} calls={calls}/{budget}")
+        if save:
+            save_tt(approx, out / f"cross_tt_{seed}.tt")
         if power_cfg is not None:
-            power_fh = stack.enter_context(open(out / "power.csv", "w", newline=""))
-            power_fh.write("seed,steps,max_rank,index,power_value,cross_best_value\n")
-        for seed in seeds:
-            rng = np.random.default_rng(seed)
-            source = TensorTrain.random(shape, generator_rank, rng)
-            sampled = IndexCache()
-            approx, _ = tt_cross(
-                tensor_oracle(source), shape, rank, sweeps, seed, cache=sampled
+            idx, value = tt_power_argmax(approx, power_cfg, seed=seed)
+            power_lines.append(
+                f"{seed},{power_cfg.steps},{power_cfg.max_rank},"
+                f"\"{idx}\",{value:.17g},{sampled.largest()[1]:.17g}"
             )
-            probe_idx = np.stack(
-                [rng.integers(0, n, size=probes) for n in shape], axis=1
-            )
-            truth = tt_eval_many(source, probe_idx)
-            guess = tt_eval_many(approx, probe_idx)
-            scale = float(np.max(np.abs(truth)))
-            rel_error = float(np.max(np.abs(guess - truth))) / (scale if scale > 0 else 1.0)
-            calls = len(sampled)
-            fh.write(
-                f"{seed},{d},{max(shape)},{rank},{sweeps},{rel_error:.3e},"
-                f"{calls},{budget},{str(calls <= budget).lower()}\n"
-            )
-            print(f"seed={seed}: rel_error={rel_error:.3e} calls={calls}/{budget}")
-            if save:
-                save_tt(approx, out / f"cross_tt_{seed}.tt")
-            if power_cfg is not None:
-                idx, value = tt_power_argmax(approx, power_cfg, seed=seed)
-                cross_best = sampled.largest()[1]
-                power_fh.write(
-                    f"{seed},{power_cfg.steps},{power_cfg.max_rank},"
-                    f"\"{idx}\",{value:.17g},{cross_best:.17g}\n"
-                )
+    path = out / "cross_test.csv"
+    header = "seed,d,n_max,rank,sweeps,rel_error,unique_calls,budget,within_budget"
+    _write_table(path, header, lines)
     if power_cfg is not None:
+        header = "seed,steps,max_rank,index,power_value,cross_best_value"
+        _write_table(out / "power.csv", header, power_lines)
         print(f"wrote {out / 'power.csv'}")
     print(f"wrote {path}")
     return 0
+
 
 
 # ---------------------------------------------------------------------------

@@ -324,8 +324,8 @@ def cross_requests(
 
 
 def _received(values, count: int) -> list[float]:
-    """An evaluator's answer to ``count`` indices as a list of floats."""
-    if isinstance(values, np.ndarray):
+    """An evaluator's answer to ``count`` indices as floats; text raises ``TypeError``."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "biuf":
         values = values.astype(np.float64, copy=False).reshape(-1).tolist()
     else:
         values = list(map(real_value, values))

@@ -322,14 +322,6 @@ def mixer_objective(latency_s: float = 0.0) -> BlackBoxObjective:
 # ---------------------------------------------------------------------------
 # Standard benchmark functions
 
-_BENCHMARK_BOUNDS = {
-    "quadratic": (-5.0, 5.0),
-    "rosenbrock": (-2.048, 2.048),
-    "rastrigin": (-5.12, 5.12),
-    "ackley": (-32.768, 32.768),
-}
-
-
 def _quadratic(x: np.ndarray) -> float:
     return float(np.sum(x**2))
 
@@ -351,12 +343,14 @@ def _ackley(x: np.ndarray) -> float:
     )
 
 
+# Each benchmark's function and the half-width of its box around the origin.
 _BENCHMARKS = {
-    "quadratic": _quadratic,
-    "rosenbrock": _rosenbrock,
-    "rastrigin": _rastrigin,
-    "ackley": _ackley,
+    "quadratic": (_quadratic, 5.0),
+    "rosenbrock": (_rosenbrock, 2.048),
+    "rastrigin": (_rastrigin, 5.12),
+    "ackley": (_ackley, 32.768),
 }
+BENCHMARK_NAMES = tuple(_BENCHMARKS)
 
 
 def benchmark(name: str, dimension: int) -> BlackBoxObjective:
@@ -370,12 +364,12 @@ def benchmark(name: str, dimension: int) -> BlackBoxObjective:
     dimension = whole_number("dimension", dimension, 1)
     if name == "rosenbrock" and dimension < 2:
         raise ValueError("rosenbrock needs dimension >= 2")
-    lo, hi = _BENCHMARK_BOUNDS[name]
+    evaluator, half_width = _BENCHMARKS[name]
     return BlackBoxObjective(
         name=name,
         dimension=dimension,
-        bounds=tuple((lo, hi) for _ in range(dimension)),
-        evaluator=_BENCHMARKS[name],
+        bounds=((-half_width, half_width),) * dimension,
+        evaluator=evaluator,
     )
 
 

@@ -124,10 +124,10 @@ def grid_point(grid: SearchGrid, idx) -> np.ndarray:
 class TetraOptConfig:
     """Hyperparameters of the tensor-train optimizer.
 
-    Defaults follow the reference setup for the mixer problem: rank 4, two
-    iterations, five grid points per dimension.  ``rank`` and ``iterations``
-    are integers >= 1, ``seed`` an integer >= 0 and ``minimize`` a bool;
-    anything else raises a ``ValueError`` naming the field.
+    Defaults follow the reference setup for the mixer problem: rank 4 and two
+    iterations (the CLI's default grid adds five points per dimension).
+    ``rank`` and ``iterations`` are integers >= 1, ``seed`` an integer >= 0
+    and ``minimize`` a bool; anything else raises a ``ValueError`` naming it.
     """
 
     grid: SearchGrid
