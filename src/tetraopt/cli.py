@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cross import IndexCache, tensor_oracle, tt_cross
+from .cross import IndexCache, _drive_requests, cross_requests, tensor_oracle
 from .gp import BayesConfig, bayes_minimize
 from .harness import parallel_scaling_report
 from .objectives import (
@@ -42,10 +42,11 @@ _ARRAY_LIMIT_BYTES = 2**30  # the most memory a count or shape setting may ask f
 # under tracemalloc, 40,000 points peaked at 392 + 8 * d bytes each for
 # d = 1 to 32, and 412 + 8 * d on the first call of a process.
 _POINT_OVERHEAD_BYTES = 416
-# What a cross holds per row of its largest request (index block, packed keys,
-# cache and sample-log entries): under tracemalloc, one-sweep rank-1 and rank-3
-# crosses with one large mode peaked at 224 bytes at d = 1 up to 1,151 at d = 32,
-# below 400 + 24 * d.  The least a cross holds: log and cache keep every request.
+# What a cross holds per row of its largest request (index block, packed keys
+# and cache entries; cross-test keeps no sample log): under tracemalloc,
+# one-sweep rank-1 and rank-3 crosses with one mode of 60,000 peaked at 210
+# bytes at d = 1 up to 939 at d = 32, below 400 + 24 * d.  The least a cross
+# holds: the cache keeps every distinct index it has sampled.
 _REQUEST_ROW_BYTES, _REQUEST_AXIS_BYTES = 400, 24
 _PROBE_CHUNK = 2**14  # probes stacked and evaluated at a time
 
@@ -438,7 +439,8 @@ def cmd_cross_test(cfg: dict, args) -> int:
         rng = np.random.default_rng(seed)
         source = TensorTrain.random(shape, generator_rank, rng)
         sampled = IndexCache()
-        approx, _ = tt_cross(tensor_oracle(source), shape, rank, sweeps, seed, cache=sampled)
+        requests = cross_requests(shape, rank, sweeps, seed, cache=sampled, log=None)
+        approx = _drive_requests(requests, tensor_oracle(source))
         columns = [rng.integers(0, n, size=probes) for n in shape]
         error = scale = 0.0  # running maxima over fixed chunks; a NaN propagates
         for start in range(0, probes, _PROBE_CHUNK):

@@ -10,13 +10,15 @@ once they are cached, so a caller can merge the requests of several runs
 into one batch; :func:`tt_cross` drives it with a blocking evaluator.
 
 Inside, a batch of multi-indices is an ``(N, d)`` integer array, and each
-index is known by a packed ``bytes`` key (:func:`pack_keys`).  An
-:class:`IndexCache` and the log hold keys and arrays; tuples are built for
-an evaluator that asks for them, and for the log's entries each time they
-are read.  A caller's plain ``dict``
-is the cache itself: it is read and filled in place under index tuples, and
-no second cache is kept beside it.  The log keeps no set of its own;
-``unique_count`` is counted when it is read.
+index is known by a packed ``bytes`` key (:func:`pack_keys`): one byte per
+coordinate below 128, and a prefix-free code of two to five bytes above,
+so keys compare like the tuples they encode.  An :class:`IndexCache` and
+the log hold keys and arrays; tuples are built for an evaluator that asks
+for them, and for the log's entries each time they are read.  A caller's
+plain ``dict`` is the cache itself: it is read and filled in place under
+index tuples, and no second cache is kept beside it.  The log keeps no set
+of its own; ``unique_count`` is counted when it is read.  Callers that do
+not read the log pass None and none is kept.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from .tt import MultiIndex, TensorTrain
 
 _ENUMERATION_CAP = 10_000
 _RANK_RTOL = 1e-10
-_KEY_DTYPE = np.dtype(">u4")
 _KEY_LIMIT = 2**32
+_WIDE_CHUNK = 2**16  # coordinates a multi-byte pack works on at a time
 
 
 class EvaluationError(RuntimeError):
@@ -51,22 +53,65 @@ class EvaluationError(RuntimeError):
 def pack_keys(rows) -> list[bytes]:
     """One ``bytes`` key per row of an ``(N, d)`` array of grid indices.
 
-    Each coordinate takes four big-endian bytes, whatever the shape, so
-    keys compare like the tuples they encode and one index never has two
-    keys.  Coordinates must lie in ``[0, 2**32)``.
+    Each coordinate ``c`` is a prefix-free code whose leading byte gives its
+    length: ``c`` itself below 128; ``0x80 | c >> 8`` and the low byte below
+    ``2**14``; ``0xC0 | c >> 16`` and two bytes below ``2**21``; otherwise
+    ``0xE0`` and four big-endian bytes.  Codes sort like the values they
+    encode, so keys compare like the tuples they encode, and a key depends
+    on its index alone.  Coordinates must lie in ``[0, 2**32)``.
     """
     rows = np.asarray(rows)
-    if rows.size and (rows.min() < 0 or rows.max() >= _KEY_LIMIT):
+    if not rows.size:
+        return []
+    top = rows.max()
+    if rows.min() < 0 or top >= _KEY_LIMIT:
         raise ValueError(f"grid indices must lie in [0, {_KEY_LIMIT})")
-    packed = np.ascontiguousarray(rows, dtype=_KEY_DTYPE)
-    width = np.dtype((np.void, _KEY_DTYPE.itemsize * rows.shape[1]))
-    return packed.view(width).ravel().tolist()
+    n, d = rows.shape
+    if top < 2**7:
+        packed = np.ascontiguousarray(rows, dtype=np.uint8)
+        return packed.view(np.dtype((np.void, d))).ravel().tolist()
+    # A few temporaries per coordinate: a fixed number of coordinates at a time.
+    step = max(1, _WIDE_CHUNK // d)
+    keys = []
+    for start in range(0, n, step):
+        keys += _pack_wide(rows[start : start + step])
+    return keys
+
+
+def _pack_wide(rows: np.ndarray) -> list[bytes]:
+    """:func:`pack_keys` of rows that hold a coordinate of 128 or more."""
+    values = rows.astype(np.int64).ravel()
+    below = [values < 2**7, values < 2**14, values < 2**21]
+    length = np.select(below, [1, 2, 3], 5)
+    tagged = values | np.select(below, [0, 0x80 << 8, 0xC0 << 16], 0xE0 << 32)
+    # Each code is the last `length` bytes of its 8-byte big-endian word.
+    words = tagged.astype(">i8").view(np.uint8).reshape(-1, 8)
+    data = words[np.arange(8) >= 8 - length[:, None]].tobytes()
+    ends = np.cumsum(length.reshape(rows.shape).sum(axis=1)).tolist()
+    return list(map(data.__getitem__, map(slice, [0] + ends[:-1], ends)))
 
 
 def unpack_keys(keys: Sequence[bytes], d: int) -> np.ndarray:
     """The ``(N, d)`` index array that :func:`pack_keys` encoded as ``keys``."""
-    flat = np.frombuffer(b"".join(keys), dtype=_KEY_DTYPE)
-    return flat.reshape(len(keys), d).astype(np.intp)
+    data = np.frombuffer(b"".join(keys), dtype=np.uint8)
+    if len(data) == len(keys) * d:  # every coordinate took one byte
+        return data.reshape(len(keys), d).astype(np.intp)
+    # Decode coordinate j of every key at once; `pos` is where each code starts.
+    data = data.astype(np.intp)
+    sizes = np.fromiter(map(len, keys), np.intp, len(keys))
+    pos = np.cumsum(sizes) - sizes
+    out = np.empty((len(keys), d), dtype=np.intp)
+    for j in range(d):
+        lead = data[pos]
+        classes = [lead < 0x80, lead < 0xC0, lead < 0xE0]
+        length = np.select(classes, [1, 2, 3], 5)
+        value = lead & np.select(classes, [0x7F, 0x3F, 0x1F], 0)
+        for k in range(1, 5):  # fold in the code's following bytes
+            more = length > k
+            value[more] = value[more] << 8 | data[pos[more] + k]
+        out[:, j] = value
+        pos += length
+    return out
 
 
 class IndexBatch(Sequence):
@@ -116,29 +161,29 @@ class SampleLog:
     """Every index requested during cross interpolation, in request order.
 
     The log keeps one record per request: the indices' packed keys (shared
-    with the cache that holds them), their values as an array, and the
-    batch id.  ``entries`` expands the records into a new list of
-    ``(multi_index, value, batch_id)`` triples each time it is read; indices
-    repeat when later batches re-request cached points, and ``batch_id`` is
-    nondecreasing.  ``unique_count`` counts the distinct indices over the
+    with the cache that holds them), their values as an array, the batch id
+    and the number of coordinates ``d``.  ``entries`` expands the records
+    into a new list of ``(multi_index, value, batch_id)`` triples each time
+    it is read; indices repeat when later batches re-request cached points,
+    and ``batch_id`` is nondecreasing.  ``unique_count`` counts the distinct indices over the
     records each time it is read.
     """
 
     def __init__(self):
-        self._records: list[tuple[list[bytes], np.ndarray, int]] = []
+        self._records: list[tuple[list[bytes], np.ndarray, int, int]] = []
         self._next_batch = 0
 
     @property
     def entries(self) -> list[tuple[MultiIndex, float, int]]:
         entries = []
-        for keys, values, batch in self._records:
-            rows = unpack_keys(keys, len(keys[0]) // _KEY_DTYPE.itemsize)
+        for keys, values, batch, d in self._records:
+            rows = unpack_keys(keys, d)
             entries.extend(zip(map(tuple, rows.tolist()), values.tolist(), itertools.repeat(batch)))
         return entries
 
     @property
     def unique_count(self) -> int:
-        return len(set(itertools.chain.from_iterable(keys for keys, _, _ in self._records)))
+        return len(set(itertools.chain.from_iterable(keys for keys, *_ in self._records)))
 
     def new_batch(self) -> int:
         batch = self._next_batch
@@ -150,7 +195,7 @@ class SampleLog:
         values = np.asarray(values, dtype=np.float64)
         if len(values):
             rows = np.asarray(indices, dtype=np.intp).reshape(len(values), -1)
-            self._records.append((pack_keys(rows), values, batch_id))
+            self._records.append((pack_keys(rows), values, batch_id, rows.shape[1]))
 
 
 @dataclass
@@ -228,7 +273,9 @@ def _select_pivots(matrix: np.ndarray) -> tuple[list[int], np.ndarray]:
     extra = np.random.default_rng(_COMPLETION_SEED).choice(rest, m - k, replace=False)
     # Unit columns at the extra rows complete the range: every selection
     # with a nonzero volume holds them, and the coefficients stay exact.
-    basis = np.hstack([span, np.eye(n)[:, extra]])
+    units = np.zeros((n, m - k))
+    units[extra, np.arange(m - k)] = 1.0
+    basis = np.hstack([span, units])
     rows = sorted(rows + [int(a) for a in extra])
     return rows, np.linalg.solve(basis[rows].T, basis.T).T
 
@@ -293,7 +340,7 @@ def cross_requests(
             absent = sum(key not in cache for key in lookup)
             raise ValueError(f"{absent} of {len(missing)} values not in the cache") from None
         if log is not None:
-            log._records.append((keys, out, batch))
+            log._records.append((keys, out, batch, d))
         return out.reshape(a * n, c)
 
     cores: list[np.ndarray | None] = [None] * d
@@ -374,12 +421,17 @@ def tt_cross(
     """
     log = SampleLog() if log is None else log
     requests = cross_requests(shape, rank, sweeps, seed, cache=cache, log=log)
+    return _drive_requests(requests, evaluate), log
+
+
+def _drive_requests(requests, evaluate: Callable[[IndexBatch], Sequence[float]]) -> TensorTrain:
+    """Run :func:`cross_requests` to its end, answering each batch with ``evaluate``."""
     values = None
     while True:
         try:
             missing = requests.send(values)
         except StopIteration as done:
-            return done.value, log
+            return done.value
         values = evaluate(missing)
 
 
