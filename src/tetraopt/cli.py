@@ -12,6 +12,7 @@ import argparse
 import contextlib
 import dataclasses
 import json
+import math
 import os
 import statistics
 import sys
@@ -38,16 +39,20 @@ PARALLEL_ENV_VAR = "TETRAOPT_PARALLEL"
 
 _ARRAY_LIMIT_BYTES = 2**30  # the most memory a count or shape setting may ask for
 # What parallel_scaling_report holds per point besides its 8 * d bytes of
-# coordinates (the point's array object, its index and its cache entry):
-# under tracemalloc, 40,000 points peaked at 392 + 8 * d bytes each for
-# d = 1 to 32, and 412 + 8 * d on the first call of a process.
-_POINT_OVERHEAD_BYTES = 416
+# coordinates (the point's index, row view and cache entry): under
+# tracemalloc, at parallelism 1 and 2 and d = 1, 8 and 32, batches of 21,846
+# to 349,526 points, each just past a dict resize, peaked at 372 to 374 + 8 * d
+# bytes per point on later calls and at most 404 + 8 * d on a process's first.
+_POINT_OVERHEAD_BYTES = 404
 # What a cross holds per row of its largest request (index block, packed keys
 # and cache entries; cross-test keeps no sample log): under tracemalloc,
 # one-sweep rank-1 and rank-3 crosses with one mode of 60,000 peaked at 210
-# bytes at d = 1 up to 939 at d = 32, below 400 + 24 * d.  The least a cross
-# holds: the cache keeps every distinct index it has sampled.
+# bytes at d = 1 up to 939 at d = 32, below 400 + 24 * d.
 _REQUEST_ROW_BYTES, _REQUEST_AXIS_BYTES = 400, 24
+# What the cache holds per distinct index it has sampled: its dict slot and
+# float value (114 bytes at the worst dict fill, under tracemalloc) and its
+# packed key (33 bytes of bytes object plus at most 5 per coordinate).
+_CACHE_KEY_BYTES, _CACHE_AXIS_BYTES = 150, 5
 _PROBE_CHUNK = 2**14  # probes stacked and evaluated at a time
 
 
@@ -413,12 +418,20 @@ def cmd_cross_test(cfg: dict, args) -> int:
     _check_array("probes", probes, 8 * d)
     train_ranks, cross_ranks = bounded_ranks(shape, generator_rank), bounded_ranks(shape, rank)
     train_floats = sum(a * n * b for a, n, b in zip(train_ranks, shape, train_ranks[1:]))
-    request_rows = max(a * n * b for a, n, b in zip(cross_ranks, shape, cross_ranks[1:]))
-    need = 8 * train_floats + request_rows * (_REQUEST_ROW_BYTES + _REQUEST_AXIS_BYTES * d)
+    core_rows = [a * n * b for a, n, b in zip(cross_ranks, shape, cross_ranks[1:])]
+    request_rows = max(core_rows)
+    # A sweep requests the last core once and every other core twice.
+    cached = min(math.prod(shape), sweeps * (2 * sum(core_rows) - core_rows[-1]))
+    need = (
+        8 * train_floats
+        + request_rows * (_REQUEST_ROW_BYTES + _REQUEST_AXIS_BYTES * d)
+        + cached * (_CACHE_KEY_BYTES + _CACHE_AXIS_BYTES * d)
+    )
     if need > _ARRAY_LIMIT_BYTES:
         raise ConfigError(
-            f"shape: a source train of {train_floats} floats and a cross request "
-            f"of {request_rows} rows need {need} bytes, over the 1 GiB limit"
+            f"shape: a source train of {train_floats} floats, a cross request of "
+            f"{request_rows} rows and up to {cached} cached indices need {need} bytes, "
+            "over the 1 GiB limit"
         )
     save = cfg.get("save_tt", False)
     if not isinstance(save, bool):

@@ -147,10 +147,6 @@ class IndexBatch(Sequence):
 class IndexCache(dict):
     """Objective values keyed by the packed keys of their grid indices."""
 
-    def store(self, keys: list[bytes], rows: np.ndarray, values: Sequence[float]) -> None:
-        """Cache ``values`` under ``keys``, the packed keys of the ``(N, d)`` ``rows``."""
-        self.update(zip(keys, values))
-
     def largest(self) -> tuple[bytes, float]:
         """The largest value and its key; ties go to the smallest key, the smallest index."""
         top = max(self.values())
@@ -437,6 +433,8 @@ def _drive_requests(requests, evaluate: Callable[[IndexBatch], Sequence[float]])
 
 def tensor_oracle(tt: TensorTrain) -> Callable[[IndexBatch], np.ndarray]:
     """Batch evaluator backed by an existing train (for synthetic tests)."""
+    # Looked up when called, not at import: bench/layers.py patches
+    # tetraopt.tt.tt_eval_many, and a module-level import would bypass that.
     from .tt import tt_eval_many
 
     def evaluate(indices) -> np.ndarray:

@@ -101,9 +101,7 @@ class GaussianProcessModel:
     """
 
     observed_x: np.ndarray
-    observed_y: np.ndarray
     kernel: Kernel
-    noise_variance: float
     y_shift: float
     y_scale: float
     _chol: tuple
@@ -147,9 +145,7 @@ def gp_fit(x, y, kernel: Kernel | None = None, noise_variance: float = DEFAULT_N
         alpha = cho_solve(chol, targets)
         return GaussianProcessModel(
             observed_x=x,
-            observed_y=y,
             kernel=kernel,
-            noise_variance=noise_variance,
             y_shift=y_shift,
             y_scale=y_scale,
             _chol=chol,

@@ -19,7 +19,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import Hashable
+from typing import Hashable, Sequence
 
 import numpy as np
 
@@ -44,13 +44,14 @@ def effective_parallelism(max_parallel: int | None) -> int:
 class BatchRequest:
     """Aligned grid indices and real-space points to evaluate together.
 
-    An index is any hashable key naming its point: a multi-index tuple, or
-    the packed key (:func:`~tetraopt.cross.pack_keys`) the optimizer passes.
+    An index is any hashable key naming its point: an int, a multi-index
+    tuple, or the packed key (:func:`~tetraopt.cross.pack_keys`) the
+    optimizer passes.  ``points`` is an ``(N, d)`` array or a sequence of
+    ``N`` points; the objective gets one row or item per point.
     """
 
-    batch_id: int
-    indices: list[Hashable]
-    points: list[np.ndarray]
+    indices: Sequence[Hashable]
+    points: Sequence[np.ndarray] | np.ndarray
 
     def __post_init__(self):
         if len(self.indices) != len(self.points):
@@ -173,10 +174,12 @@ def parallel_scaling_report(
 ) -> list[tuple[int, float]]:
     """Wall time per evaluation at each parallelism level.
 
-    Each level evaluates a fresh batch of ``batch_size`` seeded points (no
-    cache reuse across levels) and reports ``wall_time / batch_size``.
-    ``batch_size`` and every level are integers >= 1 and ``seed`` an integer
-    >= 0; anything else raises a ``ValueError`` naming the field.
+    ``batch_size`` seeded points are drawn once, as one ``(batch_size, d)``
+    array indexed ``0 .. batch_size - 1``; each level evaluates all of them
+    with a fresh cache (no reuse across levels) and reports ``wall_time /
+    batch_size``.  ``batch_size`` and every level are integers >= 1 and
+    ``seed`` an integer >= 0; anything else raises a ``ValueError`` naming
+    the field.
     """
     batch_size = whole_number("batch_size", batch_size, 1)
     parallelism_levels = [
@@ -185,14 +188,12 @@ def parallel_scaling_report(
     rng = np.random.default_rng(whole_number("seed", seed, 0))
     lows = np.array([b[0] for b in objective.bounds])
     highs = np.array([b[1] for b in objective.bounds])
-    points = [lows + rng.random(objective.dimension) * (highs - lows) for _ in range(batch_size)]
+    # One draw of batch_size * d numbers takes the stream in the order that
+    # batch_size draws of d numbers would, so the points are the same.
+    points = lows + rng.random((batch_size, objective.dimension)) * (highs - lows)
+    request = BatchRequest(indices=range(batch_size), points=points)
     rows: list[tuple[int, float]] = []
-    for level_pos, level in enumerate(parallelism_levels):
-        request = BatchRequest(
-            batch_id=level_pos,
-            indices=[(level_pos, i) for i in range(batch_size)],
-            points=points,
-        )
+    for level in parallelism_levels:
         result = evaluate_batch(objective, request, level)
         rows.append((level, result.wall_time_s / batch_size))
     return rows

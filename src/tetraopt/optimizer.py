@@ -33,9 +33,9 @@ class SearchGrid:
 
     Index ``k`` in a dimension maps to ``lower + k * (upper - lower) /
     (points - 1)``; the extreme indices land exactly on the box corners.  A
-    single-point dimension maps index 0 to ``lower``.  :meth:`points` maps a
-    whole batch of multi-indices at once, from coordinates computed by
-    :meth:`coordinate` when the grid is built.
+    single-point dimension maps index 0 to ``lower``.  The coordinates are
+    computed once, when the grid is built; :meth:`coordinate` reads one and
+    :meth:`points` maps a whole batch of multi-indices at once.
 
     Each item of ``dims`` is a ``(lower, upper, points)`` triple of finite
     numbers and an integer ``points >= 1``, with ``lower < upper`` when
@@ -62,11 +62,19 @@ class SearchGrid:
         object.__setattr__(self, "dims", tuple(parsed))
         # Every axis's coordinates back to back; axis a starts at _offsets[a].
         shape = np.array(self.shape, dtype=np.intp)
-        object.__setattr__(self, "_offsets", np.cumsum(shape) - shape)
-        object.__setattr__(self, "_coordinates", np.array(
-            [self.coordinate(axis, k) for axis, n in enumerate(self.shape) for k in range(n)],
-            dtype=np.float64,
-        ))
+        offsets = np.cumsum(shape) - shape
+        coordinates = np.empty(int(shape.sum()))
+        for (lower, upper, points), start in zip(self.dims, offsets.tolist()):
+            axis = coordinates[start : start + points]
+            # Inner points only: the ends are set exactly (a -0.0 kept), and a
+            # one-point axis divides nothing.  A product past the float range
+            # is inf, as in Python float arithmetic.
+            with np.errstate(over="ignore"):
+                axis[1:-1] = lower + np.arange(1, points - 1) * (upper - lower) / (points - 1)
+            axis[-1] = upper
+            axis[0] = lower
+        object.__setattr__(self, "_offsets", offsets)
+        object.__setattr__(self, "_coordinates", coordinates)
 
     @property
     def dimension(self) -> int:
@@ -84,11 +92,7 @@ class SearchGrid:
         lower, upper, points = self.dims[axis]
         if not 0 <= k < points:
             raise ValueError(f"index {k} out of range for axis {axis} with {points} points")
-        if k == 0:
-            return lower
-        if k == points - 1:
-            return upper
-        return lower + k * (upper - lower) / (points - 1)
+        return float(self._coordinates[self._offsets[axis] + k])
 
     def points(self, indices) -> np.ndarray:
         """Real-space points, shape ``(len(indices), dimension)``, one per multi-index."""
@@ -182,7 +186,6 @@ def tetraopt_minimize(
         cross_requests(grid.shape, config.rank, 1, int(s), cache=cache, log=None)
         for s in pass_seeds
     ]
-    rounds = 0
     # Packed keys compare like the indices they encode.
     best = (math.inf, b"")
     # The harness caches the whole round before any pass resumes and reads it
@@ -190,8 +193,7 @@ def tetraopt_minimize(
     # finished pass gives None on every later ``next``.
     while batches := [misses for p in passes if (misses := next(p, None)) is not None]:
         keys, rows = _merged(batches)
-        request = BatchRequest(batch_id=rounds, indices=keys, points=grid.points(rows))
-        rounds += 1
+        request = BatchRequest(indices=keys, points=grid.points(rows))
         result = evaluate_batch(objective, request, max_parallel, cache=cache)
         healthy = np.delete(np.arange(len(keys)), result.failures)
         if not healthy.size:

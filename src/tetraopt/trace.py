@@ -52,16 +52,14 @@ class OptimizationTrace:
                 break
         return best
 
-    def csv_header(self, dimension: int) -> list[str]:
-        return ["calls", "wall_time_s", "best_value"] + [f"x{k}" for k in range(dimension)]
-
     def write_csv(self, path) -> None:
         if not self.events:
             raise ValueError("cannot export an empty trace")
         dimension = len(self.events[0].best_point)
+        header = ["calls", "wall_time_s", "best_value"] + [f"x{k}" for k in range(dimension)]
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(self.csv_header(dimension))
+            writer.writerow(header)
             for event in self.events:
                 writer.writerow(
                     [

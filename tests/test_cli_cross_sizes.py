@@ -49,3 +49,16 @@ def test_probe_check_peaks_near_the_index_columns_it_counts(tmp_path):
         tracemalloc.stop()
     assert code == 0
     assert peak < 8 * d * probes + allowance
+
+
+def test_cache_of_many_large_modes_is_counted(tmp_path, capsys):
+    # The largest request is 200,000 rows, but one sweep caches up to
+    # 47 * 200,000 distinct indices, some 180 bytes each: about 1.7 GB,
+    # where the source train and the largest request take about 0.23 GB.
+    code, out = _run(tmp_path, {
+        "shape": [200_000] * 24, "generator_rank": 1, "rank": 1, "sweeps": 1,
+    })
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "shape" in err and "cached" in err

@@ -43,8 +43,8 @@ def counting_objective(dimension=2):
     return obj, calls
 
 
-def request_for(indices, points, batch_id=0):
-    return BatchRequest(batch_id=batch_id, indices=indices, points=points)
+def request_for(indices, points):
+    return BatchRequest(indices=indices, points=points)
 
 
 class TestEvaluateBatch:
@@ -61,7 +61,7 @@ class TestEvaluateBatch:
         cache: dict = {}
         first = request_for([(0,), (1,)], [np.array([0.0]), np.array([1.0])])
         evaluate_batch(obj, first, 1, cache=cache)
-        second = request_for([(1,), (2,)], [np.array([1.0]), np.array([2.0])], batch_id=1)
+        second = request_for([(1,), (2,)], [np.array([1.0]), np.array([2.0])])
         result = evaluate_batch(obj, second, 1, cache=cache)
         assert len(calls) == 3  # (1,) came from cache
         assert result.served_from_cache == 1
@@ -169,7 +169,7 @@ class TestEvaluateBatch:
         indices = [(k,) for k in range(12)]
         points = [np.array([float(k)]) for k in range(12)]
         results = [
-            evaluate_batch(obj, request_for(indices, points, batch_id=i), 4, cache={}).values
+            evaluate_batch(obj, request_for(indices, points), 4, cache={}).values
             for i in range(3)
         ]
         assert results[0] == results[1] == results[2]
@@ -219,7 +219,7 @@ class TestEvaluateBatch:
 
     def test_alignment_validation(self):
         with pytest.raises(ValueError, match="aligned"):
-            BatchRequest(batch_id=0, indices=[(0,)], points=[])
+            BatchRequest(indices=[(0,)], points=[])
 
     def test_result_dataclass_shape(self):
         result = BatchResult(values=[1.0], wall_time_s=0.0, served_from_cache=0)

@@ -102,7 +102,7 @@ def test_number_helpers_reject_what_floats_would_swallow():
 def test_largest_cached_value_breaks_ties_on_the_smallest_index():
     cache = IndexCache()
     rows = np.array([[2, 0], [0, 3], [1, 1], [0, 0]])
-    cache.store(pack_keys(rows), rows, [5.0, 5.0, -1.0, 4.0])
+    cache.update(zip(pack_keys(rows), [5.0, 5.0, -1.0, 4.0]))
     assert cache.largest() == (pack_keys(rows[1:2])[0], 5.0)
 
 
