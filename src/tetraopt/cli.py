@@ -2,8 +2,9 @@
 
 Subcommands: ``optimize``, ``compare``, ``bench-parallel``, ``cross-test``.
 Every run is configured by a JSON file (strictly validated, unknown keys
-rejected) plus a few overriding flags; a count or a cross-test shape that
-needs over 1 GiB is refused.  Exit codes: 0 success, 2 config error, 3 runtime failure.
+rejected) plus a few overriding flags; a count, dimension, grid, optimizer
+budget or cross-test shape that needs over 1 GiB is refused.  Exit codes: 0
+success, 2 config error, 3 runtime failure.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .cross import IndexCache, _drive_requests, cross_requests, tensor_oracle
-from .gp import BayesConfig, bayes_minimize
+from .gp import PROPOSAL_CANDIDATES, BayesConfig, bayes_minimize
 from .harness import parallel_scaling_report
 from .objectives import (
     BENCHMARK_NAMES,
@@ -32,7 +33,7 @@ from .objectives import (
     whole_number,
 )
 from .optimizer import SearchGrid, TetraOptConfig, tetraopt_minimize
-from .power import PowerConfig, tt_power_argmax
+from .power import FINAL_CROSS_SWEEPS, PowerConfig, tt_power_argmax
 from .tt import TensorTrain, bounded_ranks, save_tt, tt_eval_many
 
 PARALLEL_ENV_VAR = "TETRAOPT_PARALLEL"
@@ -53,6 +54,19 @@ _REQUEST_ROW_BYTES, _REQUEST_AXIS_BYTES = 400, 24
 # float value (114 bytes at the worst dict fill, under tracemalloc) and its
 # packed key (33 bytes of bytes object plus at most 5 per coordinate).
 _CACHE_KEY_BYTES, _CACHE_AXIS_BYTES = 150, 5
+# What optimize and compare hold per objective axis (bounds pairs, the
+# default five-point grid, the optimizer's copy of the bounds and the outputs):
+# under tracemalloc, a one-evaluation bayes run peaked at 539 to 745 bytes per
+# axis for d = 1,000 to 100,000.
+_AXIS_BYTES = 800
+# What a grid holds per point: its coordinate and two temporaries while the
+# longest axis is filled in (24.0 to 25.1 bytes under tracemalloc).
+_GRID_POINT_BYTES = 25
+# What a GP/UCB run holds per evaluation besides its kernel matrices: the
+# unit-cube point, the trace row and the outputs (under tracemalloc, 31 to 39
+# bytes per coordinate for d = 2,000 and 20,000), and per candidate
+# coordinate of a proposal (16 at d = 2,000).
+_EVALUATION_BYTES, _EVALUATION_AXIS_BYTES, _CANDIDATE_AXIS_BYTES = 200, 48, 24
 _PROBE_CHUNK = 2**14  # probes stacked and evaluated at a time
 
 
@@ -116,6 +130,9 @@ def _build_objective(spec, context: str = "objective") -> BlackBoxObjective:
             _reject_unused(spec, context, name, ("center",))
         if "dimension" not in spec:
             raise ConfigError(f"{context}: missing required field 'dimension'")
+        with _checked(context):
+            dimension = whole_number("dimension", spec["dimension"], 1)
+        _check_array(f"{context}.dimension", dimension, _AXIS_BYTES)
     else:
         raise ConfigError(
             f"{context}.name: unknown objective {name!r} "
@@ -126,7 +143,7 @@ def _build_objective(spec, context: str = "objective") -> BlackBoxObjective:
             raise ConfigError(f"{context}.{key}: expected a list")
 
     with _checked(context):
-        obj = mixer_objective() if name == "mixer" else benchmark(name, spec["dimension"])
+        obj = mixer_objective() if name == "mixer" else benchmark(name, dimension)
         if "center" in spec:
             if len(spec["center"]) != obj.dimension:
                 raise ConfigError(f"{context}.center: expected a list of {obj.dimension} numbers")
@@ -150,6 +167,10 @@ def _build_grid(cfg: dict, objective: BlackBoxObjective) -> SearchGrid:
         raise ConfigError(
             f"grid: expected {objective.dimension} [lower, upper, points] triples"
         )
+    # SearchGrid validates every triple before it allocates; only the point
+    # counts it would accept are summed here.
+    counts = [dim[2] for dim in cfg["grid"] if isinstance(dim, list) and len(dim) == 3]
+    _check_array("grid", sum(n for n in counts if type(n) is int and n > 0), _GRID_POINT_BYTES)
     with _checked("grid"):
         return SearchGrid(cfg["grid"])
 
@@ -178,6 +199,7 @@ def _config_template(spec, grid: SearchGrid, context: str):
             template = TetraOptConfig(grid=grid, **settings)
         else:
             template = BayesConfig(bounds=grid.bounds, **settings)
+    _check_run(template, context)
     return template, {"name": name, **{key: getattr(template, key) for key in fields}}
 
 
@@ -214,9 +236,54 @@ def _resolve_parallel(cfg: dict, flag: int | None) -> int | None:
         return whole_number(source, value, 1)
 
 
-def _check_array(field: str, rows: int, row_bytes: int) -> None:
-    if rows * row_bytes > _ARRAY_LIMIT_BYTES:
-        raise ConfigError(f"{field}: {rows} rows of {row_bytes} bytes exceed the 1 GiB limit")
+def _check_array(field: str, count: int, item_bytes: int) -> None:
+    if count * item_bytes > _ARRAY_LIMIT_BYTES:
+        raise ConfigError(f"{field}: {count} items of {item_bytes} bytes exceed the 1 GiB limit")
+
+
+def _cross_bytes(shape, rank: int, sweeps: int) -> tuple[int, int, int]:
+    """Rows of the largest request, distinct indices cached, and an upper
+    bound on the bytes both take, for a cross of ``shape`` at ``rank``
+    over ``sweeps`` sweeps (or as many one-sweep passes sharing one cache)."""
+    d = len(shape)
+    ranks = bounded_ranks(shape, rank)
+    core_rows = [a * n * b for a, n, b in zip(ranks, shape, ranks[1:])]
+    request_rows = max(core_rows)
+    # A sweep requests the last core once and every other core twice.
+    cached = min(math.prod(shape), sweeps * (2 * sum(core_rows) - core_rows[-1]))
+    need = (
+        request_rows * (_REQUEST_ROW_BYTES + _REQUEST_AXIS_BYTES * d)
+        + cached * (_CACHE_KEY_BYTES + _CACHE_AXIS_BYTES * d)
+    )
+    return request_rows, cached, need
+
+
+def _check_run(template, context: str) -> None:
+    """Refuse an optimizer run whose working set would exceed 1 GiB."""
+    if isinstance(template, TetraOptConfig):
+        shape, rank, passes = template.grid.shape, template.rank, template.iterations
+        rows, cached, need = _cross_bytes(shape, rank, passes)
+        # Each round evaluates the merged requests of every pass through the harness.
+        need += passes * rows * (_POINT_OVERHEAD_BYTES + 8 * len(shape))
+        what = (
+            f"rank {rank} over {passes} iterations, with requests of {rows} rows "
+            f"and up to {cached} cached indices,"
+        )
+    else:
+        n, d = template.n_initial + template.n_iterations, len(template.bounds)
+        # A fit holds (n, n) kernel matrices and a proposal (candidates, n)
+        # ones: four, plus the distance sum's eight partial sums and about
+        # one more per halving of d above 128 (under tracemalloc, 32 to 130
+        # bytes per entry for d = 1 to 2,000).
+        matrices = 12 + d.bit_length()
+        need = (
+            8 * matrices * n * (n + PROPOSAL_CANDIDATES)
+            + n * (_EVALUATION_BYTES + _EVALUATION_AXIS_BYTES * d)
+            + _CANDIDATE_AXIS_BYTES * PROPOSAL_CANDIDATES * d
+        )
+        what = f"n_initial + n_iterations = {n} evaluations in {d} dimensions"
+    if need > _ARRAY_LIMIT_BYTES:
+        raise ConfigError(f"{context}: {what} need {need} bytes, over the 1 GiB limit")
 
 
 def _out_dir(cfg: dict, flag: str | None) -> Path:
@@ -416,17 +483,10 @@ def cmd_cross_test(cfg: dict, args) -> int:
         probes = whole_number("probes", cfg.get("probes", 1000), 1)
     d = len(shape)
     _check_array("probes", probes, 8 * d)
-    train_ranks, cross_ranks = bounded_ranks(shape, generator_rank), bounded_ranks(shape, rank)
+    train_ranks = bounded_ranks(shape, generator_rank)
     train_floats = sum(a * n * b for a, n, b in zip(train_ranks, shape, train_ranks[1:]))
-    core_rows = [a * n * b for a, n, b in zip(cross_ranks, shape, cross_ranks[1:])]
-    request_rows = max(core_rows)
-    # A sweep requests the last core once and every other core twice.
-    cached = min(math.prod(shape), sweeps * (2 * sum(core_rows) - core_rows[-1]))
-    need = (
-        8 * train_floats
-        + request_rows * (_REQUEST_ROW_BYTES + _REQUEST_AXIS_BYTES * d)
-        + cached * (_CACHE_KEY_BYTES + _CACHE_AXIS_BYTES * d)
-    )
+    request_rows, cached, need = _cross_bytes(shape, rank, sweeps)
+    need += 8 * train_floats
     if need > _ARRAY_LIMIT_BYTES:
         raise ConfigError(
             f"shape: a source train of {train_floats} floats, a cross request of "
@@ -444,6 +504,15 @@ def cmd_cross_test(cfg: dict, args) -> int:
         _check_keys(cfg["power"], "power", required=(), optional=("steps", "max_rank", "rel_tol"))
         with _checked("power"):
             power_cfg = PowerConfig(**cfg["power"])
+        # The power method crosses the approximation again; the main cross's
+        # cache and the source train are still held meanwhile.
+        rows, keys, more = _cross_bytes(shape, power_cfg.max_rank, FINAL_CROSS_SWEEPS)
+        if need + more > _ARRAY_LIMIT_BYTES:
+            raise ConfigError(
+                f"power.max_rank: the power method's final cross at rank {power_cfg.max_rank}, "
+                f"with a request of {rows} rows and up to {keys} cached indices, needs "
+                f"{more} bytes on top of the main cross's {need}, over the 1 GiB limit"
+            )
     out = _out_dir(cfg, args.out)
 
     budget = 2 * sweeps * d * max(shape) * rank * rank

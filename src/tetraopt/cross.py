@@ -307,6 +307,7 @@ def cross_requests(
         raise ValueError(f"mode sizes must be below {_KEY_LIMIT}")
     rank = whole_number("rank", rank, 1)
     sweeps = whole_number("sweeps", sweeps, 1)
+    seed = whole_number("seed", seed, 0)
     if cache is None:
         cache = IndexCache()
     packed = isinstance(cache, IndexCache)
@@ -403,7 +404,8 @@ def tt_cross(
     sweeps : int
         Number of left-to-right plus right-to-left rounds.
     seed : int
-        Seeds the initial column sets; fixes the whole run.
+        Seeds the initial column sets; fixes the whole run.  An integer
+        >= 0: anything else raises ``ValueError`` naming ``seed``.
     cache, log : optional
         Shared memo cache and sample log, e.g. to string several runs
         together.  The cache is an :class:`IndexCache`, or a ``dict`` keyed

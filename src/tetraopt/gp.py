@@ -22,18 +22,27 @@ from .trace import OptimizationTrace
 DEFAULT_LENGTH_SCALE = 0.25
 DEFAULT_NOISE_VARIANCE = 1e-6
 _JITTERS = (0.0, 1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
+PROPOSAL_CANDIDATES = 2048  # uniform candidates each proposal scores first
 
 
 @dataclass(frozen=True)
 class Kernel:
-    """Stationary Matérn 5/2 covariance, the only kernel the GP uses."""
+    """Stationary Matérn 5/2 covariance, the only kernel the GP uses.
+
+    ``length_scale`` and ``signal_variance`` are positive finite numbers,
+    stored as ``float``; anything else raises a ``ValueError`` naming them.
+    """
 
     length_scale: float = DEFAULT_LENGTH_SCALE
     signal_variance: float = 1.0
 
     def __post_init__(self):
-        if not (0 < self.length_scale < math.inf and 0 < self.signal_variance < math.inf):
-            raise ValueError("kernel hyperparameters must be positive and finite")
+        for name in ("length_scale", "signal_variance"):
+            field = f"kernel hyperparameters: {name}"
+            value = finite_number(field, getattr(self, name), 0)
+            if value == 0:
+                raise ValueError(f"{field} must be positive, got {value!r}")
+            object.__setattr__(self, name, value)
 
     def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Covariance matrix between the rows of ``a`` and ``b``."""
@@ -192,8 +201,9 @@ def acquisition_ucb(model: GaussianProcessModel, x, kappa: float) -> float:
 def propose_next(model: GaussianProcessModel, bounds, kappa: float, seed: int) -> np.ndarray:
     """Approximate acquisition argmax inside ``bounds``.
 
-    2048 seeded uniform candidates, then three rounds of per-coordinate
-    refinement with a halving step.  Deterministic given the seed.
+    ``PROPOSAL_CANDIDATES`` seeded uniform candidates, then three rounds of
+    per-coordinate refinement with a halving step.  Deterministic given the
+    seed.
     """
     bounds = [(float(lo), float(hi)) for lo, hi in bounds]
     lows = np.array([lo for lo, _ in bounds])
@@ -201,7 +211,7 @@ def propose_next(model: GaussianProcessModel, bounds, kappa: float, seed: int) -
     widths = highs - lows
     rng = np.random.default_rng(seed)
 
-    candidates = lows + rng.random((2048, len(bounds))) * widths
+    candidates = lows + rng.random((PROPOSAL_CANDIDATES, len(bounds))) * widths
     mean, std = _predict_many(model, candidates)
     scores = mean + kappa * std
     top = int(np.argmax(scores))  # the first NaN, if there is one

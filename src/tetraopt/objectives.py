@@ -151,13 +151,17 @@ def seeded_failure_model(rate: float, seed: int) -> Callable[[np.ndarray], bool]
     """Deterministic predicate failing a ``rate`` fraction of points.
 
     The decision depends only on (seed, point bytes), so repeated runs fail
-    at exactly the same points.  ``seed`` is an ``int`` in ``[0, 2**64)``:
-    it keys the hash as eight bytes.
+    at exactly the same points.  ``rate`` is a finite number in ``[0, 1]``
+    and ``seed`` an integer in ``[0, 2**64)``, numpy's included: it keys the
+    hash as eight bytes.  Anything else raises a ``ValueError`` naming the
+    argument.
     """
-    if not 0 <= rate <= 1:
-        raise ValueError("rate must lie in [0, 1]")
-    if not isinstance(seed, int) or not 0 <= seed < 2**64:
-        raise ValueError("seed must be an int in [0, 2**64)")
+    rate = finite_number("rate", rate, 0)
+    if rate > 1:
+        raise ValueError(f"rate must lie in [0, 1], got {rate!r}")
+    seed = whole_number("seed", seed, 0)
+    if seed >= 2**64:
+        raise ValueError(f"seed must be below 2**64, got {seed!r}")
 
     def fails(x: np.ndarray) -> bool:
         digest = hashlib.blake2b(

@@ -37,6 +37,7 @@ from .tt import (
 )
 
 _PROBE_COUNT = 10_000
+FINAL_CROSS_SWEEPS = 2  # sweeps of the cross that picks the index off the last iterate
 
 
 @dataclass(frozen=True)
@@ -67,14 +68,10 @@ class PowerConfig:
             object.__setattr__(self, "shift", finite_number("shift", self.shift))
 
 
-def _probe_indices(rng, shape, count: int) -> np.ndarray:
-    cols = [rng.integers(0, n, size=count) for n in shape]
-    return np.stack(cols, axis=1)
-
-
 def _estimate_shift(tt: TensorTrain, rng) -> float:
     count = min(_PROBE_COUNT, prod(tt.mode_sizes))
-    values = tt_eval_many(tt, _probe_indices(rng, tt.mode_sizes, count))
+    probes = np.stack([rng.integers(0, n, size=count) for n in tt.mode_sizes], axis=1)
+    values = tt_eval_many(tt, probes)
     low, high = float(values.min()), float(values.max())
     margin = 1e-3 * (high - low) if high > low else 1.0
     return -low + margin
@@ -144,8 +141,10 @@ def tt_power_argmax(
     ``seed`` drives two independent streams: one for the shift probes and
     the final cross's seed, and a child stream
     (``SeedSequence(seed).spawn(1)[0]``) for the sketches, so equal seeds
-    give equal results.
+    give equal results.  ``seed`` is an integer >= 0; anything else raises
+    a ``ValueError`` naming it.
     """
+    seed = whole_number("seed", seed, 0)
     rng = np.random.default_rng(seed)
     sketch_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
     shift = config.shift if config.shift is not None else _estimate_shift(tt, rng)
@@ -162,10 +161,11 @@ def tt_power_argmax(
             )
         y = tt_scale(y, 1.0 / norm)
 
-    cross_rank = min(config.max_rank, max(y.ranks))
     sampled = IndexCache()
     cross_seed = int(rng.integers(0, 2**63))
-    requests = cross_requests(y.mode_sizes, cross_rank, 2, cross_seed, cache=sampled, log=None)
+    requests = cross_requests(
+        y.mode_sizes, y.max_rank, FINAL_CROSS_SWEEPS, cross_seed, cache=sampled, log=None
+    )
     _drive_requests(requests, tensor_oracle(y))
     key, _ = sampled.largest()
     best_idx = tuple(unpack_keys([key], y.order)[0].tolist())
@@ -182,15 +182,10 @@ def rank_growth_probe(tt: TensorTrain, steps: int) -> list[int]:
     """
     steps = whole_number("steps", steps, 0)
     shape = tt.mode_sizes
-    d = tt.order
-    if d == 1:
-        return [1] * (steps + 1)
-    caps = [
-        min(prod(shape[: j + 1]), prod(shape[j + 1 :])) for j in range(d - 1)
-    ]
-    ranks = list(tt.ranks[1:d])
-    sequence = [max(ranks)]
+    caps = bounded_ranks(shape, prod(shape))[1:-1]
+    ranks = tt.ranks[1:-1]
+    sequence = [max(ranks, default=1)]
     for _ in range(steps):
         ranks = [min(r * r, cap) for r, cap in zip(ranks, caps)]
-        sequence.append(max(ranks))
+        sequence.append(max(ranks, default=1))
     return sequence
