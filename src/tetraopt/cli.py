@@ -34,6 +34,7 @@ from .objectives import (
 )
 from .optimizer import SearchGrid, TetraOptConfig, tetraopt_minimize
 from .power import FINAL_CROSS_SWEEPS, PowerConfig, tt_power_argmax
+from .trace import write_table
 from .tt import TensorTrain, bounded_ranks, save_tt, tt_eval_many
 
 PARALLEL_ENV_VAR = "TETRAOPT_PARALLEL"
@@ -292,11 +293,21 @@ def _out_dir(cfg: dict, flag: str | None) -> Path:
     return out
 
 
-def _write_table(path: Path, header: str, lines) -> None:
-    """Write ``header``, then ``lines``, one per line, with LF line ends on every platform."""
-    with open(path, "w", newline="") as fh:
-        fh.write(header + "\n")
-        fh.writelines(line + "\n" for line in lines)
+def _finite_or_null(value):
+    """``value`` with every number that is not finite, at any depth, replaced by None."""
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
+def _write_summary(out: Path, summary: dict) -> None:
+    """Write ``summary.json`` as strict JSON: a number that is not finite is null."""
+    text = json.dumps(_finite_or_null(summary), indent=2, allow_nan=False)
+    (out / "summary.json").write_text(text)
 
 
 def _run_one(objective, template, seed: int, parallel):
@@ -325,16 +336,18 @@ def cmd_optimize(cfg: dict, args) -> int:
     runs = []
     for seed in seeds:
         trace = _run_one(objective, template, seed, parallel)
-        path = out / f"trace_{spec['name']}_{seed}.csv"
-        trace.write_csv(path)
+        # A seed that found no finite value has no incumbent to trace.
+        name = f"trace_{spec['name']}_{seed}.csv" if trace.events else None
+        if name is not None:
+            trace.write_csv(out / name)
         runs.append(
             {
                 "seed": seed,
                 "best_value": trace.best_value,
-                "best_point": list(trace.best_point) if trace.best_point else None,
+                "best_point": trace.best_point,
                 "total_calls": trace.total_calls,
                 "total_runtime_s": trace.total_runtime_s,
-                "trace_csv": path.name,
+                "trace_csv": name,
             }
         )
         print(
@@ -349,8 +362,9 @@ def cmd_optimize(cfg: dict, args) -> int:
         "runs": runs,
         "median_best_value": statistics.median(r["best_value"] for r in runs),
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2))
-    print(f"wrote {len(runs)} trace(s) and summary.json to {out}")
+    _write_summary(out, summary)
+    written = sum(run["trace_csv"] is not None for run in runs)
+    print(f"wrote {written} trace(s) and summary.json to {out}")
     return 0
 
 
@@ -392,7 +406,7 @@ def cmd_compare(cfg: dict, args) -> int:
         medians[label] = statistics.median(finals[label])
         print(f"{label}: median final best = {medians[label]:.6g}")
 
-    _write_table(out / "comparison.csv", "optimizer,seed,wall_time_s,calls,best_value", (
+    write_table(out / "comparison.csv", "optimizer,seed,wall_time_s,calls,best_value", (
         f"{label},{seed},{event.wall_time_s:.6f},"
         f"{event.unique_calls_so_far},{event.best_value:.17g}"
         for label, traces in all_traces.items()
@@ -400,7 +414,7 @@ def cmd_compare(cfg: dict, args) -> int:
         for event in trace.events
     ))
     horizon = max(trace.total_runtime_s for traces in all_traces.values() for trace in traces)
-    _write_table(
+    write_table(
         out / "envelopes.csv", "optimizer,wall_time_s,median_best,lowest_best,highest_best",
         _envelope_rows(all_traces, np.linspace(0.0, horizon, 64)),
     )
@@ -431,7 +445,7 @@ def cmd_compare(cfg: dict, args) -> int:
             )
         },
     }
-    (out / "summary.json").write_text(json.dumps(summary, indent=2))
+    _write_summary(out, summary)
     print(f"wrote comparison.csv, envelopes.csv, summary.json to {out}")
     return 0
 
@@ -446,18 +460,15 @@ def cmd_bench_parallel(cfg: dict, args) -> int:
         raise ConfigError("objective.latency_s: bench-parallel needs a latency objective")
     if not isinstance(cfg["levels"], list) or not cfg["levels"]:
         raise ConfigError("levels: expected a nonempty list of integers")
-    # parallel_scaling_report checks these too, but only once the output
-    # directory exists.
     with _checked():
         batch_size = whole_number("batch_size", cfg["batch_size"], 1)
-        levels = [whole_number("levels", level, 1) for level in cfg["levels"]]
-        seed = whole_number("seed", cfg.get("seed", 0), 0)
     _check_array("batch_size", batch_size, _POINT_OVERHEAD_BYTES + 8 * objective.dimension)
-    out = _out_dir(cfg, args.out)
-
-    rows = parallel_scaling_report(objective, batch_size, levels, seed=seed)
-    path = out / "scaling.csv"
-    _write_table(path, "parallelism,effective_time_per_eval_s", (
+    with _checked():
+        rows = parallel_scaling_report(
+            objective, batch_size, cfg["levels"], seed=cfg.get("seed", 0)
+        )
+    path = _out_dir(cfg, args.out) / "scaling.csv"
+    write_table(path, "parallelism,effective_time_per_eval_s", (
         f"{level},{effective:.6f}" for level, effective in rows
     ))
     for level, effective in rows:
@@ -473,8 +484,7 @@ def cmd_cross_test(cfg: dict, args) -> int:
     )
     if not isinstance(cfg["shape"], list) or not cfg["shape"]:
         raise ConfigError("shape: expected a nonempty list of integers")
-    # The cross checks rank and sweeps too, but only once the output
-    # directory exists.
+    # The cross checks these too, but the 1 GiB rule below needs them first.
     with _checked():
         shape = [whole_number("shape", n, 1) for n in cfg["shape"]]
         generator_rank = whole_number("generator_rank", cfg["generator_rank"], 1)
@@ -547,14 +557,13 @@ def cmd_cross_test(cfg: dict, args) -> int:
             )
     path = out / "cross_test.csv"
     header = "seed,d,n_max,rank,sweeps,rel_error,unique_calls,budget,within_budget"
-    _write_table(path, header, lines)
+    write_table(path, header, lines)
     if power_cfg is not None:
         header = "seed,steps,max_rank,index,power_value,cross_best_value"
-        _write_table(out / "power.csv", header, power_lines)
+        write_table(out / "power.csv", header, power_lines)
         print(f"wrote {out / 'power.csv'}")
     print(f"wrote {path}")
     return 0
-
 
 
 # ---------------------------------------------------------------------------

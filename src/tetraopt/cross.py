@@ -31,11 +31,13 @@ from typing import Callable, Generator
 
 import numpy as np
 
-from .maxvol import _COMPLETION_SEED, maxvol
+from .maxvol import maxvol
 from .objectives import real_value, whole_number
 from .tt import MultiIndex, TensorTrain
 
 _ENUMERATION_CAP = 10_000
+# Seeds the rows that complete a rank-deficient pivot matrix.
+_COMPLETION_SEED = 0xC0317
 _RANK_RTOL = 1e-10
 _KEY_LIMIT = 2**32
 _WIDE_CHUNK = 2**16  # coordinates a multi-byte pack works on at a time

@@ -21,8 +21,6 @@ MAX_SWAP_ROUNDS = 100
 
 _JITTER_SCALE = 1e-12
 _JITTER_SEED = 0x7A11
-# Seeds the rows that complete a rank-deficient pivot matrix in the cross.
-_COMPLETION_SEED = 0xC0317
 _RANDOM_STARTS = 6
 _START_SEED = 0x5EED
 

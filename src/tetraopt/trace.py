@@ -1,8 +1,7 @@
-"""Incumbent history of an optimization run, exportable as CSV."""
+"""Incumbent history of an optimization run, and the package's one CSV writer."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -55,17 +54,15 @@ class OptimizationTrace:
     def write_csv(self, path) -> None:
         if not self.events:
             raise ValueError("cannot export an empty trace")
-        dimension = len(self.events[0].best_point)
-        header = ["calls", "wall_time_s", "best_value"] + [f"x{k}" for k in range(dimension)]
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for event in self.events:
-                writer.writerow(
-                    [
-                        event.unique_calls_so_far,
-                        format(event.wall_time_s, ".6f"),
-                        format(event.best_value, ".17g"),
-                    ]
-                    + [format(x, ".17g") for x in event.best_point]
-                )
+        axes = [f"x{k}" for k in range(len(self.events[0].best_point))]
+        write_table(path, ",".join(["calls", "wall_time_s", "best_value", *axes]), (
+            f"{event.unique_calls_so_far},{event.wall_time_s:.6f},"
+            + ",".join(format(x, ".17g") for x in (event.best_value, *event.best_point))
+            for event in self.events
+        ))
+
+def write_table(path, header: str, lines) -> None:
+    """Write ``header``, then ``lines``, one per line, with LF line ends on every platform."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        fh.writelines(line + "\n" for line in lines)

@@ -264,9 +264,6 @@ def tt_round(tt: TensorTrain, max_rank: int, rel_tol: float = 0.0) -> TensorTrai
     max_rank = whole_number("max_rank", max_rank, 1)
     rel_tol = finite_number("rel_tol", rel_tol, 0)
     d = tt.order
-    if d == 1:
-        return TensorTrain([c.copy() for c in tt.cores])
-
     # Right-to-left orthogonalization (LQ via transposed QR).
     cores = [c.copy() for c in tt.cores]
     for j in range(d - 1, 0, -1):
@@ -278,7 +275,7 @@ def tt_round(tt: TensorTrain, max_rank: int, rel_tol: float = 0.0) -> TensorTrai
         cores[j - 1] = np.einsum("inj,kj->ink", cores[j - 1], rfac)
 
     norm = float(np.linalg.norm(cores[0]))
-    threshold = rel_tol * norm / np.sqrt(d - 1) if rel_tol > 0 else 0.0
+    threshold = rel_tol * norm / np.sqrt(d - 1) if rel_tol > 0 and d > 1 else 0.0
 
     # Left-to-right truncated SVD sweep.
     for j in range(d - 1):
