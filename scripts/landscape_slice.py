@@ -11,7 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
-from tetraopt import mixer_surrogate
+from tetraopt import MIXER_BOUNDS, mixer_surrogate
+from tetraopt.trace import write_table
 
 
 def main() -> None:
@@ -21,22 +22,28 @@ def main() -> None:
     parser.add_argument("--connection-radius", type=float, default=0.3)
     parser.add_argument("--out", type=Path, default=Path("landscape_slice.csv"))
     args = parser.parse_args()
+    if args.points < 1:
+        parser.error(f"--points must be at least 1, got {args.points}")
+    for flag, value, (low, high) in (
+        ("--connection-radius", args.connection_radius, MIXER_BOUNDS[1]),
+        ("--inlet-radius", args.inlet_radius, MIXER_BOUNDS[3]),
+    ):
+        if not low <= value <= high:
+            parser.error(f"{flag} must lie in [{low:g}, {high:g}], got {value:g}")
 
-    angles = np.linspace(0.0, 30.0, args.points)
-    lengths = np.linspace(0.5, 1.5, args.points)
-    best = (float("inf"), None)
-    with open(args.out, "w") as fh:
-        fh.write("y_angle_deg,connection_length_mm,score\n")
-        for a in angles:
-            for length in lengths:
-                score = mixer_surrogate(
-                    [a, args.connection_radius, length, args.inlet_radius]
-                )
-                fh.write(f"{a:.6f},{length:.6f},{score:.8f}\n")
-                if score < best[0]:
-                    best = (score, (a, length))
+    rows = [
+        (a, length, mixer_surrogate([a, args.connection_radius, length, args.inlet_radius]))
+        for a in np.linspace(0.0, 30.0, args.points)
+        for length in np.linspace(0.5, 1.5, args.points)
+    ]
+    write_table(
+        args.out,
+        "y_angle_deg,connection_length_mm,score",
+        (f"{a:.6f},{length:.6f},{score:.8f}" for a, length, score in rows),
+    )
+    a, length, score = min(rows, key=lambda row: row[2])
     print(f"wrote {args.out} ({args.points}x{args.points} samples)")
-    print(f"slice minimum {best[0]:.5f} at angle {best[1][0]:.2f} deg, length {best[1][1]:.3f} mm")
+    print(f"slice minimum {score:.5f} at angle {a:.2f} deg, length {length:.3f} mm")
 
 
 if __name__ == "__main__":

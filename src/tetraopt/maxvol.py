@@ -90,14 +90,13 @@ def _greedy_swaps(work: np.ndarray, start: tuple[int, ...]) -> tuple[list[int], 
 def maxvol(m: np.ndarray) -> MaxVolResult:
     """Select rows forming a submatrix of locally maximal absolute determinant.
 
-    Greedy row swapping is run from several deterministic starts: the
-    partial-pivoting rows of the matrix and of its orthogonal factor, the
-    largest-norm rows, and a few fixed-seed random subsets.  Each run stops
-    once no single swap multiplies the volume by more than
-    ``1 + DEFAULT_SWAP_TOL`` (0.01), or after ``MAX_SWAP_ROUNDS`` (100)
-    swaps; both are fixed constants.  The best local optimum wins, which in
-    practice almost always is the global one.  The result is deterministic
-    for a given input.
+    Greedy row swapping is run from up to eight deterministic starts: the
+    partial-pivoting rows of the matrix, the largest-norm rows, and six
+    fixed-seed random subsets.  Each run stops once no single swap
+    multiplies the volume by more than ``1 + DEFAULT_SWAP_TOL`` (0.01), or
+    after ``MAX_SWAP_ROUNDS`` (100) swaps; both are fixed constants.  The
+    best local optimum wins, which in practice almost always is the global
+    one.  The result is deterministic for a given input.
 
     Ties: each swap takes the largest ``|coefficient|``, the first in
     row-major order on an exact tie, and among the starts the first one
@@ -130,7 +129,6 @@ def maxvol(m: np.ndarray) -> MaxVolResult:
 
     starts = [_pivot_rows(work)]
     if n > r:
-        starts.append(_pivot_rows(np.linalg.qr(work)[0]))
         starts.append([int(i) for i in np.argsort(-np.linalg.norm(work, axis=1))[:r]])
         rng = np.random.default_rng(_START_SEED)
         for _ in range(_RANDOM_STARTS):

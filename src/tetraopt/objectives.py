@@ -314,13 +314,13 @@ def mixer_surrogate(p) -> float:
 
 
 def mixer_objective(latency_s: float = 0.0) -> BlackBoxObjective:
-    obj = BlackBoxObjective(
+    return BlackBoxObjective(
         name="mixer",
         dimension=4,
         bounds=MIXER_BOUNDS,
         evaluator=mixer_surrogate,
+        latency_s=latency_s,
     )
-    return with_latency(obj, latency_s) if latency_s else obj
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,7 @@ class OptimizationTrace:
             for event in self.events
         ))
 
+
 def write_table(path, header: str, lines) -> None:
     """Write ``header``, then ``lines``, one per line, with LF line ends on every platform."""
     with open(path, "w", newline="") as fh:
