@@ -33,7 +33,7 @@ import numpy as np
 
 from .maxvol import maxvol
 from .objectives import real_value, whole_number
-from .tt import MultiIndex, TensorTrain
+from .tt import MultiIndex, TensorTrain, multi_indices
 
 _ENUMERATION_CAP = 10_000
 # Seeds the rows that complete a rank-deficient pivot matrix.
@@ -60,22 +60,20 @@ def pack_keys(rows) -> list[bytes]:
     ``2**14``; ``0xC0 | c >> 16`` and two bytes below ``2**21``; otherwise
     ``0xE0`` and four big-endian bytes.  Codes sort like the values they
     encode, so keys compare like the tuples they encode, and a key depends
-    on its index alone.  Coordinates must lie in ``[0, 2**32)``.
+    on its index alone.  Coordinates must lie in ``[0, 2**32)``: the rows
+    pass :func:`~tetraopt.tt.multi_indices` with that limit on every mode.
     """
-    rows = np.asarray(rows)
+    d = np.shape(rows)[-1] if np.ndim(rows) else 0
+    rows = multi_indices(rows, (_KEY_LIMIT,) * d)
     if not rows.size:
         return []
-    top = rows.max()
-    if rows.min() < 0 or top >= _KEY_LIMIT:
-        raise ValueError(f"grid indices must lie in [0, {_KEY_LIMIT})")
-    n, d = rows.shape
-    if top < 2**7:
+    if rows.max() < 2**7:
         packed = np.ascontiguousarray(rows, dtype=np.uint8)
         return packed.view(np.dtype((np.void, d))).ravel().tolist()
     # A few temporaries per coordinate: a fixed number of coordinates at a time.
     step = max(1, _WIDE_CHUNK // d)
     keys = []
-    for start in range(0, n, step):
+    for start in range(0, len(rows), step):
         keys += _pack_wide(rows[start : start + step])
     return keys
 
@@ -192,7 +190,7 @@ class SampleLog:
         """Record ``indices`` (tuples or an :class:`IndexBatch`) with their values."""
         values = np.asarray(values, dtype=np.float64)
         if len(values):
-            rows = np.asarray(indices, dtype=np.intp).reshape(len(values), -1)
+            rows = np.asarray(indices).reshape(len(values), -1)
             self._records.append((pack_keys(rows), values, batch_id, rows.shape[1]))
 
 
@@ -442,7 +440,7 @@ def tensor_oracle(tt: TensorTrain) -> Callable[[IndexBatch], np.ndarray]:
     from .tt import tt_eval_many
 
     def evaluate(indices) -> np.ndarray:
-        return tt_eval_many(tt, np.asarray(indices, dtype=np.intp))
+        return tt_eval_many(tt, indices)
 
     return evaluate
 

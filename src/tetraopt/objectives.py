@@ -180,7 +180,7 @@ def seeded_failure_model(rate: float, seed: int) -> Callable[[np.ndarray], bool]
 
 @dataclass(frozen=True)
 class SectionField:
-    """Phase-fraction samples on a cut plane, with optional area weights."""
+    """Phase fractions in [0, 1] on a cut plane, with optional finite positive area weights."""
 
     fractions: np.ndarray
     weights: np.ndarray | None = None
@@ -189,15 +189,15 @@ class SectionField:
         fractions = np.asarray(self.fractions, dtype=np.float64)
         if fractions.ndim != 1 or fractions.size == 0:
             raise ValueError("fractions must be a nonempty 1-D array")
-        if fractions.min() < 0 or fractions.max() > 1:
-            raise ValueError("fractions must lie in [0, 1]")
+        if not np.all((fractions >= 0) & (fractions <= 1)):
+            raise ValueError("fractions must be numbers in [0, 1]")
         object.__setattr__(self, "fractions", fractions)
         if self.weights is not None:
             weights = np.asarray(self.weights, dtype=np.float64)
             if weights.shape != fractions.shape:
                 raise ValueError("weights must match fractions in length")
-            if weights.min() <= 0:
-                raise ValueError("weights must be positive")
+            if not np.all((weights > 0) & (weights < np.inf)):
+                raise ValueError("weights must be finite positive numbers")
             object.__setattr__(self, "weights", weights)
 
 
@@ -226,25 +226,29 @@ def section_from_csv(path) -> SectionField:
     """Load a SectionField from CSV rows of ``fraction[,weight]``.
 
     A single header line is allowed and skipped.  Either every row carries a
-    weight or none does.
+    weight or none does.  A row that does not parse is named by ``path:line``.
     """
     fractions: list[float] = []
     weights: list[float] = []
     with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader if row]
     if not rows:
         raise ValueError(f"{path}: empty section file")
     start = 0
     try:
-        float(rows[0][0])
+        float(rows[0][1][0])
     except ValueError:
         start = 1
-    for lineno, row in enumerate(rows[start:], start=start + 1):
+    for lineno, row in rows[start:]:
         if len(row) not in (1, 2):
             raise ValueError(f"{path}:{lineno}: expected 1 or 2 columns")
-        fractions.append(float(row[0]))
-        if len(row) == 2:
-            weights.append(float(row[1]))
+        try:
+            fraction, *weight = map(float, row)
+        except ValueError as err:
+            raise ValueError(f"{path}:{lineno}: {err}") from None
+        fractions.append(fraction)
+        weights += weight
     if weights and len(weights) != len(fractions):
         raise ValueError(f"{path}: weights present on only some rows")
     return SectionField(
@@ -300,14 +304,13 @@ def mixer_surrogate(p) -> float:
     """Mixing-quality score of a Y-mixer geometry (lower is better mixing).
 
     ``p`` is (y-angle deg, connection radius mm, connection length mm, inlet
-    radius mm) and must lie inside :data:`MIXER_BOUNDS`.
+    radius mm) and must lie inside :data:`MIXER_BOUNDS`, which a NaN does not.
     """
     p = np.asarray(p, dtype=np.float64)
     if p.shape != (4,):
         raise ValueError(f"mixer surrogate expects a 4-vector, got shape {p.shape}")
-    lows = np.array([b[0] for b in MIXER_BOUNDS])
-    highs = np.array([b[1] for b in MIXER_BOUNDS])
-    if np.any(p < lows - 1e-12) or np.any(p > highs + 1e-12):
+    lows, highs = np.array(MIXER_BOUNDS).T
+    if not np.all((p >= lows - 1e-12) & (p <= highs + 1e-12)):
         raise ValueError(f"point {p.tolist()} outside the mixer parameter box")
     u = (p - lows) / (highs - lows)
     return _mixer_value(u)

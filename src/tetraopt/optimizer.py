@@ -24,7 +24,7 @@ from .cross import tt_cross  # noqa: F401  -- bench/layers.py patches this name
 from .harness import BatchRequest, evaluate_batch
 from .objectives import BlackBoxObjective, finite_number, real_value, whole_number
 from .trace import OptimizationTrace
-from .tt import MultiIndex
+from .tt import MultiIndex, multi_indices
 
 
 @dataclass(frozen=True)
@@ -89,31 +89,15 @@ class SearchGrid:
         return tuple((lower, upper) for lower, upper, _ in self.dims)
 
     def coordinate(self, axis: int, k: int) -> float:
-        lower, upper, points = self.dims[axis]
-        if not 0 <= k < points:
-            raise ValueError(f"index {k} out of range for axis {axis} with {points} points")
-        return float(self._coordinates[self._offsets[axis] + k])
+        # A row of k's own dtype: points refuses a float or bool k as such.
+        k = np.asarray(k)
+        row = np.zeros((1, self.dimension), k.dtype)
+        row[0, axis] = k[()]
+        return float(self.points(row)[0, axis])
 
     def points(self, indices) -> np.ndarray:
         """Real-space points, shape ``(len(indices), dimension)``, one per multi-index."""
-        try:
-            idx = np.asarray(indices, dtype=np.intp)
-        except OverflowError:
-            raise ValueError("index out of range for the grid") from None
-        if idx.shape == (0,):
-            idx = idx.reshape(0, self.dimension)
-        if idx.ndim != 2:
-            raise ValueError(f"expected a sequence of multi-indices, got shape {idx.shape}")
-        if idx.shape[1] != self.dimension:
-            raise ValueError(f"index length {idx.shape[1]} != grid dimension {self.dimension}")
-        bad = np.argwhere((idx < 0) | (idx >= np.array(self.shape, dtype=np.intp)))
-        if len(bad):
-            row, axis = bad[0]
-            raise ValueError(
-                f"index {idx[row, axis]} out of range for axis {axis}"
-                f" with {self.dims[axis][2]} points"
-            )
-        return self._coordinates[idx + self._offsets]
+        return self._coordinates[multi_indices(indices, self.shape) + self._offsets]
 
     def all_indices(self) -> list[MultiIndex]:
         return list(itertools.product(*[range(points) for points in self.shape]))

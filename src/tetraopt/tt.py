@@ -9,6 +9,7 @@ slices picked by that index.  Cores are read-only after construction, so a
 
 from __future__ import annotations
 
+import numbers
 import os
 import struct
 from math import prod
@@ -119,19 +120,40 @@ def bounded_ranks(shape, rank: int) -> list[int]:
     return [1, *(max(1, min(rank, cap)) for cap in caps), 1]
 
 
-def validate_index(tt: TensorTrain, idx) -> MultiIndex:
-    idx = tuple(int(i) for i in idx)
-    if len(idx) != tt.order:
-        raise ValueError(f"index length {len(idx)} != tensor order {tt.order}")
-    for j, (i, n) in enumerate(zip(idx, tt.mode_sizes)):
-        if not 0 <= i < n:
-            raise ValueError(f"index {i} out of bounds for mode {j} of size {n}")
-    return idx
+def multi_indices(indices, shape) -> np.ndarray:
+    """``indices`` as an ``(N, d)`` ``intp`` array of multi-indices into ``shape``.
+
+    The one check of a grid index: any integer dtype passes, and ``[]`` is no
+    index.  ``ValueError`` for an entry that is not an integer (floats are not
+    truncated, bools not read as 0 and 1), a block that is not ``(N, len(shape))``
+    and an index outside ``[0, shape[j])``, a Python int too large for ``intp`` included.
+    """
+    block = np.asarray(indices)
+    d = len(shape)
+    if block.shape == (0,):
+        block = block.reshape(0, d)
+    if block.ndim != 2 or block.shape[1] != d:
+        raise ValueError(
+            f"expected an (N, d) index array of multi-indices with index length {d},"
+            f" got shape {block.shape}"
+        )
+    if block.dtype.kind in "iu" or not block.size:
+        rows = block.astype(np.intp, copy=False)
+        unsigned = rows.view(np.uintp)  # a negative index reads as too large
+        if not rows.size or unsigned.max() < min(shape) or (unsigned < np.uintp(shape)).all():
+            return rows
+    # Refused: Python ints too large for any integer dtype arrive as floats or objects.
+    entries = np.asarray(indices, dtype=object)
+    if not all(isinstance(v, numbers.Integral) and type(v) is not bool for v in entries.flat):
+        raise ValueError(f"grid indices must be integers, got {block.dtype} entries")
+    row, j = np.argwhere((entries < 0) | (entries >= np.array(shape)))[0]
+    where = f"index out of bounds for mode {j} of size {shape[j]} ({entries[row, j]} in row {row})"
+    raise ValueError(f"grid indices out of range: {where}")
 
 
 def tt_eval(tt: TensorTrain, idx) -> float:
     """Entry at ``idx``: the chained product of the per-mode core slices."""
-    idx = validate_index(tt, idx)
+    idx = multi_indices([idx], tt.mode_sizes)[0]
     v = tt.cores[0][:, idx[0], :]
     for j in range(1, tt.order):
         v = v @ tt.cores[j][:, idx[j], :]
@@ -149,13 +171,7 @@ def tt_eval_many(tt: TensorTrain, indices) -> np.ndarray:
     products in the same order either way, so the result is bit-identical
     to evaluating each row on its own.
     """
-    indices = np.asarray(indices, dtype=np.intp)
-    if indices.ndim != 2 or indices.shape[1] != tt.order:
-        raise ValueError("expected an (N, d) index array")
-    for j, n in enumerate(tt.mode_sizes):
-        col = indices[:, j]
-        if col.size and (col.min() < 0 or col.max() >= n):
-            raise ValueError(f"index out of bounds for mode {j} of size {n}")
+    indices = multi_indices(indices, tt.mode_sizes)
     n_rows = indices.shape[0]
     # Mode-major cores (n, r, s): gathering the slices of a mode is a row copy.
     cores = [np.ascontiguousarray(core.transpose(1, 0, 2)) for core in tt.cores]
