@@ -27,7 +27,6 @@ import hashlib
 import io
 import json
 import math
-import os
 import re
 import sys
 import tempfile
@@ -203,7 +202,6 @@ def run_case(main, command: str, config: dict, workdir: Path) -> dict:
 def record() -> None:
     from tetraopt.cli import main
 
-    os.environ.pop("TETRAOPT_PARALLEL", None)
     for name, command, config, field in cases():
         with tempfile.TemporaryDirectory() as tmp:
             result = run_case(main, command, config, Path(tmp))

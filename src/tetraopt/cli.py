@@ -14,7 +14,6 @@ import contextlib
 import dataclasses
 import json
 import math
-import os
 import statistics
 import sys
 from pathlib import Path
@@ -36,8 +35,6 @@ from .optimizer import SearchGrid, TetraOptConfig, tetraopt_minimize
 from .power import FINAL_CROSS_SWEEPS, PowerConfig, tt_power_argmax
 from .trace import write_table
 from .tt import TensorTrain, bounded_ranks, save_tt, tt_eval_many
-
-PARALLEL_ENV_VAR = "TETRAOPT_PARALLEL"
 
 _ARRAY_LIMIT_BYTES = 2**30  # the most memory a count or shape setting may ask for
 # What parallel_scaling_report holds per point besides its 8 * d bytes of
@@ -223,12 +220,6 @@ def _parse_seeds(cfg: dict, override: str | None) -> list[int]:
 def _resolve_parallel(cfg: dict, flag: int | None) -> int | None:
     if flag is not None:
         source, value = "--parallel", flag
-    elif PARALLEL_ENV_VAR in os.environ:
-        source, env = PARALLEL_ENV_VAR, os.environ[PARALLEL_ENV_VAR]
-        try:
-            value = int(env)
-        except ValueError:
-            raise ConfigError(f"{PARALLEL_ENV_VAR}: expected an integer, got {env!r}")
     elif "parallel" in cfg:
         source, value = "parallel", cfg["parallel"]
     else:
@@ -321,16 +312,21 @@ def _run_one(objective, template, seed: int, parallel):
 # Subcommands
 
 
-def cmd_optimize(cfg: dict, args) -> int:
+def _read_runs(cfg: dict, args, optimizers: str):
+    """Check the top-level keys and read what optimize and compare share: the
+    objective, its grid, the seeds and the parallelism (``cfg[optimizers]`` is the caller's)."""
     _check_keys(
-        cfg, "config", required=("objective", "optimizer"),
+        cfg, "config", required=("objective", optimizers),
         optional=("grid", "seeds", "parallel", "out"),
     )
     objective = _build_objective(cfg["objective"])
     grid = _build_grid(cfg, objective)
+    return objective, grid, _parse_seeds(cfg, args.seed), _resolve_parallel(cfg, args.parallel)
+
+
+def cmd_optimize(cfg: dict, args) -> int:
+    objective, grid, seeds, parallel = _read_runs(cfg, args, "optimizer")
     template, spec = _config_template(cfg["optimizer"], grid, "optimizer")
-    seeds = _parse_seeds(cfg, args.seed)
-    parallel = _resolve_parallel(cfg, args.parallel)
     out = _out_dir(cfg, args.out)
 
     runs = []
@@ -380,14 +376,9 @@ def _envelope_rows(all_traces: dict[str, list], grid_times: np.ndarray):
 
 
 def cmd_compare(cfg: dict, args) -> int:
-    _check_keys(
-        cfg, "config", required=("objective", "optimizers"),
-        optional=("grid", "seeds", "parallel", "out"),
-    )
+    objective, grid, seeds, parallel = _read_runs(cfg, args, "optimizers")
     if not isinstance(cfg["optimizers"], list) or len(cfg["optimizers"]) != 2:
         raise ConfigError("optimizers: expected a list of exactly two optimizer specs")
-    objective = _build_objective(cfg["objective"])
-    grid = _build_grid(cfg, objective)
     templates, specs = zip(*(
         _config_template(spec, grid, f"optimizers[{pos}]")
         for pos, spec in enumerate(cfg["optimizers"])
@@ -395,8 +386,6 @@ def cmd_compare(cfg: dict, args) -> int:
     labels = [spec["name"] for spec in specs]
     if labels[0] == labels[1]:
         labels = [f"{labels[0]}1", f"{labels[1]}2"]
-    seeds = _parse_seeds(cfg, args.seed)
-    parallel = _resolve_parallel(cfg, args.parallel)
     out = _out_dir(cfg, args.out)
 
     all_traces, finals, medians = {}, {}, {}
@@ -575,17 +564,20 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Tensor-train black-box optimization toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, handler in (
-        ("optimize", cmd_optimize),
-        ("compare", cmd_compare),
-        ("bench-parallel", cmd_bench_parallel),
-        ("cross-test", cmd_cross_test),
+    # Each subcommand takes only the flags it reads, so argparse refuses the rest.
+    for command, handler, flags in (
+        ("optimize", cmd_optimize, ("--seed", "--parallel")),
+        ("compare", cmd_compare, ("--seed", "--parallel")),
+        ("bench-parallel", cmd_bench_parallel, ()),
+        ("cross-test", cmd_cross_test, ("--seed",)),
     ):
         p = sub.add_parser(command)
         p.add_argument("--config", required=True, help="JSON run configuration")
-        p.add_argument("--seed", default=None, help="comma-separated seeds, overrides config")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--parallel", type=int, default=None, help="max parallel evaluations")
+        if "--seed" in flags:
+            p.add_argument("--seed", default=None, help="comma-separated seeds, overrides config")
+        if "--parallel" in flags:
+            p.add_argument("--parallel", type=int, default=None, help="max parallel evaluations")
         p.set_defaults(handler=handler)
     return parser
 

@@ -187,10 +187,19 @@ class SampleLog:
         return batch
 
     def extend(self, indices, values, batch_id: int) -> None:
-        """Record ``indices`` (tuples or an :class:`IndexBatch`) with their values."""
+        """Record ``indices`` (tuples or an :class:`IndexBatch`) with their values.
+
+        ``indices`` must be a 2-D block with one row per value (or empty, with
+        no values), else ``ValueError``.
+        """
         values = np.asarray(values, dtype=np.float64)
+        rows = np.asarray(indices)
+        if len(rows) != len(values) or (len(rows) and rows.ndim != 2):
+            raise ValueError(
+                f"expected one index row per value: {len(values)} values, "
+                f"indices of shape {rows.shape}"
+            )
         if len(values):
-            rows = np.asarray(indices).reshape(len(values), -1)
             self._records.append((pack_keys(rows), values, batch_id, rows.shape[1]))
 
 
@@ -290,7 +299,8 @@ def cross_requests(
     Each core request yields its distinct cache misses, in request order, as
     an :class:`IndexBatch`: send the values, or resume with None once they are
     in the cache (else ``ValueError``); the request is then read from the
-    cache.  Requests the cache serves yield nothing.  The cache is filled with
+    cache, and a value that is not finite raises ``ValueError`` naming its
+    index.  Requests the cache serves yield nothing.  The cache is filled with
     ``update``: an :class:`IndexCache` under packed keys, a plain ``dict`` in
     place under index tuples, and None stands for a fresh :class:`IndexCache`.
     Every requested entry goes to ``log`` unless it is None.  The generator
@@ -336,6 +346,9 @@ def cross_requests(
         except KeyError:
             absent = sum(key not in cache for key in lookup)
             raise ValueError(f"{absent} of {len(missing)} values not in the cache") from None
+        if not (finite := np.isfinite(out)).all():
+            bad = tuple(rows[np.argmin(finite)].tolist())
+            raise ValueError(f"the value at index {bad} is not finite")
         if log is not None:
             log._records.append((keys, out, batch, d))
         return out.reshape(a * n, c)
@@ -397,6 +410,8 @@ def tt_cross(
         over an ``(N, d)`` index array) to their tensor values.  It is
         called once per batch and only with indices missing from the cache;
         values inside a batch may be computed concurrently by the callee.
+        Every value, cached ones included, must be finite: the first that
+        is not raises ``ValueError`` naming its index.
     shape : sequence of int
         Mode sizes of the tensor, each below ``2**32``.
     rank : int

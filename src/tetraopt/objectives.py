@@ -225,21 +225,24 @@ def cov(field: SectionField) -> float:
 def section_from_csv(path) -> SectionField:
     """Load a SectionField from CSV rows of ``fraction[,weight]``.
 
-    A single header line is allowed and skipped.  Either every row carries a
-    weight or none does.  A row that does not parse is named by ``path:line``.
+    The first row is a header, and skipped, when its first cell neither
+    parses as a number nor starts like one (a digit, ``+``, ``-`` or ``.``).
+    Either every row carries a weight or none does.  A row that does not
+    parse is named by ``path:line``, and a file without data rows by ``path``.
     """
     fractions: list[float] = []
     weights: list[float] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         rows = [(reader.line_num, row) for row in reader if row]
-    if not rows:
-        raise ValueError(f"{path}: empty section file")
     start = 0
-    try:
-        float(rows[0][1][0])
-    except ValueError:
-        start = 1
+    if rows and (head := rows[0][1][0].lstrip())[:1] not in tuple("+-.0123456789"):
+        try:
+            float(head)
+        except ValueError:
+            start = 1
+    if len(rows) == start:
+        raise ValueError(f"{path}: empty section file (no data rows)")
     for lineno, row in rows[start:]:
         if len(row) not in (1, 2):
             raise ValueError(f"{path}:{lineno}: expected 1 or 2 columns")

@@ -376,22 +376,6 @@ class TestExitCodes:
         assert not out.exists()
 
 
-class TestParallelResolution:
-    def test_env_var_honored(self, tmp_path, monkeypatch):
-        out = tmp_path / "out"
-        monkeypatch.setenv("TETRAOPT_PARALLEL", "not-an-int")
-        cfg = write_config(tmp_path, BAYES_QUADRATIC)
-        assert main(["optimize", "--config", cfg, "--out", str(out)]) == 2
-        monkeypatch.setenv("TETRAOPT_PARALLEL", "2")
-        assert main(["optimize", "--config", cfg, "--out", str(out)]) == 0
-
-    def test_flag_beats_env(self, tmp_path, monkeypatch):
-        out = tmp_path / "out"
-        monkeypatch.setenv("TETRAOPT_PARALLEL", "0")  # invalid, but flag wins
-        cfg = write_config(tmp_path, BAYES_QUADRATIC)
-        assert main(["optimize", "--config", cfg, "--parallel", "1", "--out", str(out)]) == 0
-
-
 class TestFailureReports:
     @pytest.mark.parametrize("seeds", ["", ","])
     def test_empty_seed_flag_is_a_config_error(self, tmp_path, capsys, seeds):
